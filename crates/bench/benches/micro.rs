@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks of the building blocks: partitioning and
-//! refinement, the static index builds and probes, and merge-file reads.
-//! These measure wall-clock of the in-memory implementation (they complement
-//! the simulated-seconds figures, which measure the modelled disk).
+//! refinement, the static index builds and probes, merge-file reads, and the
+//! page service path of the storage layer (checksum, page codec, buffer-pool
+//! hit and miss). These measure wall-clock of the in-memory implementation
+//! (they complement the simulated-seconds figures, which measure the modelled
+//! disk); the `storage/*` group reproduces the wall-clock benchmark's
+//! per-layer `storage.*` numbers without a 20-second run.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use odyssey_baselines::strategy::{build_approach, Approach, ApproachConfig};
 use odyssey_baselines::GridConfig;
 use odyssey_core::{OdysseyConfig, SpaceOdyssey};
@@ -11,7 +14,10 @@ use odyssey_datagen::{
     BrainModel, CombinationDistribution, DatasetSpec, QueryRangeDistribution, WorkloadSpec,
 };
 use odyssey_geom::DatasetId;
-use odyssey_storage::{write_raw_dataset, RawDataset, StorageManager, StorageOptions};
+use odyssey_storage::{
+    crc32, pack_objects, write_raw_dataset, Page, PageId, RawDataset, StorageManager,
+    StorageOptions, OBJECTS_PER_PAGE,
+};
 
 struct Fixture {
     storage: StorageManager,
@@ -171,8 +177,76 @@ fn bench_odyssey_query_sequence(c: &mut Criterion) {
     group.finish();
 }
 
+/// The page service path, one batch of `PAGES` pages per measured
+/// invocation (the rate column divides it back out): `crc32_4k` is the
+/// checksum alone, `page_encode`/`page_decode` the record codec (encode
+/// includes the frame allocation and the stamp), `pool_hit` a resident
+/// `read_page`, `read_page_miss` a `read_page` after the pool was dropped
+/// (file read from the operating system's cache + verify + pool insert).
+fn bench_storage_layer(c: &mut Criterion) {
+    const PAGES: usize = 256;
+    let objects = BrainModel::new(DatasetSpec {
+        objects_per_dataset: PAGES * OBJECTS_PER_PAGE,
+        ..Default::default()
+    })
+    .generate_dataset(DatasetId(0));
+    let pages = pack_objects(&objects);
+    let dir = tempfile::tempdir().unwrap();
+    let storage = StorageManager::new(StorageOptions::on_disk(dir.path(), 2 * PAGES));
+    let file = storage.create_file("micro").unwrap();
+    storage.append_objects(file, &objects).unwrap();
+    let read_all = || {
+        for p in 0..pages.len() as u64 {
+            criterion::black_box(storage.read_page(file, PageId(p)).unwrap());
+        }
+    };
+
+    let mut group = c.benchmark_group("storage");
+    group.sample_size(30);
+    group.throughput(Throughput::Bytes((pages.len() * 4096) as u64));
+    group.bench_function("crc32_4k", |b| {
+        b.iter(|| {
+            pages.iter().fold(0, |acc, page| {
+                acc ^ crc32(criterion::black_box(page.as_bytes()))
+            })
+        });
+    });
+    group.throughput(Throughput::Elements(objects.len() as u64));
+    group.bench_function("page_encode", |b| {
+        b.iter(|| {
+            for chunk in objects.chunks(OBJECTS_PER_PAGE) {
+                criterion::black_box(Page::from_objects(chunk).unwrap());
+            }
+        });
+    });
+    group.bench_function("page_decode", |b| {
+        let mut decoded = Vec::with_capacity(objects.len());
+        b.iter(|| {
+            decoded.clear();
+            for page in &pages {
+                page.objects_into(&mut decoded).unwrap();
+            }
+            decoded.len()
+        });
+    });
+    group.throughput(Throughput::Elements(pages.len() as u64));
+    group.bench_function("pool_hit", |b| {
+        read_all();
+        b.iter(read_all);
+    });
+    group.bench_function("read_page_miss", |b| {
+        b.iter_batched(
+            || storage.clear_cache(),
+            |()| read_all(),
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 criterion_group!(
     micro,
+    bench_storage_layer,
     bench_dataset_generation,
     bench_static_builds,
     bench_static_queries,

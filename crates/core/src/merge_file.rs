@@ -27,7 +27,7 @@
 
 use crate::partition::PartitionKey;
 use odyssey_geom::{DatasetId, DatasetSet, SpatialObject};
-use odyssey_storage::{FileId, StorageManager, StorageResult};
+use odyssey_storage::{FileId, StorageManager, StorageResult, OBJECTS_PER_PAGE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -305,15 +305,20 @@ impl MergeFile {
         let Some(entry) = self.entries.get(key) else {
             return Ok(Vec::new());
         };
-        let mut out = Vec::new();
-        for run in &entry.runs {
-            if wanted.contains(run.dataset) && run.page_count > 0 {
-                storage.read_objects_into(
-                    self.file,
-                    run.page_start..run.page_start + run.page_count,
-                    &mut out,
-                )?;
-            }
+        let wanted_runs = || {
+            entry
+                .runs
+                .iter()
+                .filter(|run| wanted.contains(run.dataset) && run.page_count > 0)
+        };
+        let pages: u64 = wanted_runs().map(|run| run.page_count).sum();
+        let mut out = Vec::with_capacity(pages as usize * OBJECTS_PER_PAGE);
+        for run in wanted_runs() {
+            storage.read_objects_into(
+                self.file,
+                run.page_start..run.page_start + run.page_count,
+                &mut out,
+            )?;
         }
         Ok(out)
     }

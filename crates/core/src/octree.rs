@@ -34,6 +34,7 @@ use odyssey_geom::{knn_key_cmp, Aabb, DatasetId, RangeQuery, SpatialObject, Vec3
 use odyssey_storage::sync::{LockClass, Shared};
 use odyssey_storage::{
     append_to_raw_dataset, pages_needed, FileId, RawDataset, StorageManager, StorageResult,
+    OBJECTS_PER_PAGE,
 };
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -816,7 +817,7 @@ impl DatasetIndex {
         file: FileId,
         partition: &Partition,
     ) -> StorageResult<Vec<SpatialObject>> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(partition.total_page_count() as usize * OBJECTS_PER_PAGE);
         Self::read_runs_into(storage, file, partition, &mut out)?;
         Ok(out)
     }

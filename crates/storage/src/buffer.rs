@@ -14,11 +14,19 @@
 //! different pages rarely contend; eviction is then LRU *per shard* rather
 //! than globally. Small pools keep a single shard and therefore exact global
 //! LRU order (which the deterministic cost-model tests rely on).
+//!
+//! Each shard is an exact LRU with O(1) operations: one hash map from page
+//! key to a slot of a slab, and a doubly linked recency list threaded through
+//! the slab by index. A hit moves the slot to the front of the list and hands
+//! out a clone of the resident [`Page`] — a refcount bump on the shared
+//! frame, not a copy — so the time under the shard lock does not depend on
+//! the page size.
 
 use crate::file::FileId;
 use crate::page::{Page, PageId};
 use crate::sync::{Exclusive, LockClass};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Key of a cached page.
@@ -30,57 +38,188 @@ pub const SHARD_COUNT: usize = 16;
 /// Pools with at least this many pages of capacity are sharded.
 pub const SHARD_MIN_CAPACITY: usize = 1024;
 
-/// One LRU shard: the seed implementation's map + recency index.
+/// Multiplicative (Fx-style) hasher for [`FramePageKey`]s. The keys are file
+/// and page numbers this process handed out itself, so the default hasher's
+/// protection against crafted collisions buys nothing here and costs most of
+/// a pool hit.
 #[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// "No slot": the end of the recency list in either direction.
+const NIL: usize = usize::MAX;
+
+/// One resident page and its links in the recency list (`prev` towards the
+/// most recently used slot, `next` towards the least).
+struct Slot {
+    key: FramePageKey,
+    page: Page,
+    prev: usize,
+    next: usize,
+}
+
+/// One exact-LRU shard. `slots` is dense: a removed slot is filled by the
+/// last one, so there is no free list and `slots.len()` is the resident
+/// count.
 struct Shard {
-    tick: u64,
-    frames: HashMap<FramePageKey, (Page, u64)>,
-    lru: BTreeMap<u64, FramePageKey>,
+    index: HashMap<FramePageKey, usize, BuildHasherDefault<KeyHasher>>,
+    slots: Vec<Slot>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next eviction victim.
+    tail: usize,
 }
 
 impl Shard {
-    fn get(&mut self, key: FramePageKey) -> Option<Page> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((page, old_tick)) = self.frames.get_mut(&key) {
-            self.lru.remove(old_tick);
-            *old_tick = tick;
-            let page = page.clone();
-            self.lru.insert(tick, key);
-            Some(page)
-        } else {
-            None
+    fn new() -> Self {
+        Shard {
+            index: HashMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
+    }
+
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Links the (unlinked) slot `i` in as the most recently used.
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].prev = NIL;
+        self.slots[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
+    }
+
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    fn get(&mut self, key: FramePageKey) -> Option<Page> {
+        let i = *self.index.get(&key)?;
+        self.touch(i);
+        Some(self.slots[i].page.clone())
     }
 
     /// Returns `true` if an eviction was necessary.
     fn insert(&mut self, key: FramePageKey, page: Page, capacity: usize) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((slot, old_tick)) = self.frames.get_mut(&key) {
-            *slot = page;
-            self.lru.remove(old_tick);
-            *old_tick = tick;
-            self.lru.insert(tick, key);
+        if let Some(&i) = self.index.get(&key) {
+            self.slots[i].page = page;
+            self.touch(i);
             return false;
         }
-        let mut evicted = false;
-        if self.frames.len() >= capacity {
-            if let Some((&oldest_tick, &oldest_key)) = self.lru.iter().next() {
-                self.lru.remove(&oldest_tick);
-                self.frames.remove(&oldest_key);
-                evicted = true;
-            }
-        }
-        self.frames.insert(key, (page, tick));
-        self.lru.insert(tick, key);
+        debug_assert!(
+            capacity > 0,
+            "the pool never inserts into a zero-capacity shard"
+        );
+        let evicted = self.slots.len() >= capacity;
+        let i = if evicted {
+            // The victim's slot is reused in place.
+            let i = self.tail;
+            self.unlink(i);
+            self.index.remove(&self.slots[i].key);
+            self.slots[i].key = key;
+            self.slots[i].page = page;
+            i
+        } else {
+            self.slots.push(Slot {
+                key,
+                page,
+                prev: NIL,
+                next: NIL,
+            });
+            self.slots.len() - 1
+        };
+        self.push_front(i);
+        self.index.insert(key, i);
         evicted
     }
 
-    fn invalidate(&mut self, key: FramePageKey) {
-        if let Some((_, tick)) = self.frames.remove(&key) {
-            self.lru.remove(&tick);
+    /// Replaces a resident page without refreshing its recency.
+    fn update_if_resident(&mut self, key: FramePageKey, page: &Page) {
+        if let Some(&i) = self.index.get(&key) {
+            self.slots[i].page = page.clone();
         }
+    }
+
+    fn invalidate(&mut self, key: FramePageKey) {
+        let Some(i) = self.index.remove(&key) else {
+            return;
+        };
+        self.unlink(i);
+        self.slots.swap_remove(i);
+        if i < self.slots.len() {
+            // The former last slot now lives at `i`: repoint its list
+            // neighbours and its index entry.
+            let (key, prev, next) = {
+                let moved = &self.slots[i];
+                (moved.key, moved.prev, moved.next)
+            };
+            match prev {
+                NIL => self.head = i,
+                p => self.slots[p].next = i,
+            }
+            match next {
+                NIL => self.tail = i,
+                n => self.slots[n].prev = i,
+            }
+            self.index.insert(key, i);
+        }
+    }
+
+    fn invalidate_file(&mut self, file: FileId) {
+        let mut i = 0;
+        while i < self.slots.len() {
+            let key = self.slots[i].key;
+            if key.0 == file {
+                // Another slot moves into `i`; look at it next.
+                self.invalidate(key);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 }
 
@@ -121,7 +260,7 @@ impl BufferPool {
             capacity,
             capacity_per_shard: capacity.div_ceil(shard_count),
             shards: (0..shard_count)
-                .map(|_| Exclusive::new(LockClass::BufferShard, Shard::default()))
+                .map(|_| Exclusive::new(LockClass::BufferShard, Shard::new()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -145,7 +284,7 @@ impl BufferPool {
     pub fn resident(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.lock().frames.len())
+            .map(|shard| shard.lock().slots.len())
             .sum()
     }
 
@@ -167,12 +306,16 @@ impl BufferPool {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    // analyzer: lock(shard = BufferShard)
-    fn shard(&self, key: &FramePageKey) -> &Exclusive<Shard> {
+    fn shard_index(&self, key: &FramePageKey) -> usize {
         // FileId in the high bits, page in the low bits; a multiplicative
         // hash spreads consecutive pages across shards.
         let mixed = ((key.0 .0 as u64) << 40 ^ key.1 .0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(mixed >> 48) as usize % self.shards.len()]
+        (mixed >> 48) as usize % self.shards.len()
+    }
+
+    // analyzer: lock(shard = BufferShard)
+    fn shard(&self, key: &FramePageKey) -> &Exclusive<Shard> {
+        &self.shards[self.shard_index(key)]
     }
 
     /// Looks up a page, refreshing its recency on a hit.
@@ -202,12 +345,9 @@ impl BufferPool {
     }
 
     /// Updates a page if (and only if) it is resident; used by write-through
-    /// so cached copies never go stale.
+    /// so cached copies never go stale. The pool shares `page`'s frame.
     pub fn update_if_resident(&self, key: FramePageKey, page: &Page) {
-        let mut shard = self.shard(&key).lock();
-        if let Some((slot, _)) = shard.frames.get_mut(&key) {
-            *slot = page.clone();
-        }
+        self.shard(&key).lock().update_if_resident(key, page);
     }
 
     /// Removes a cached page (e.g. when its file is dropped).
@@ -218,25 +358,14 @@ impl BufferPool {
     /// Removes every cached page of the given file.
     pub fn invalidate_file(&self, file: FileId) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            let keys: Vec<FramePageKey> = shard
-                .frames
-                .keys()
-                .filter(|(f, _)| *f == file)
-                .copied()
-                .collect();
-            for k in keys {
-                shard.invalidate(k);
-            }
+            shard.lock().invalidate_file(file);
         }
     }
 
     /// Drops every cached page (the paper clears caches between phases).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.lock();
-            shard.frames.clear();
-            shard.lru.clear();
+            shard.lock().clear();
         }
     }
 }
@@ -365,6 +494,171 @@ mod tests {
             pool.resident() >= SHARD_MIN_CAPACITY / 2,
             "shards should fill up"
         );
+    }
+
+    impl Shard {
+        /// Keys from most to least recently used, checking on the way that
+        /// the list, the slab and the index describe the same set.
+        fn recency(&self) -> Vec<FramePageKey> {
+            let mut order = Vec::new();
+            let (mut prev, mut i) = (NIL, self.head);
+            while i != NIL {
+                let slot = &self.slots[i];
+                assert_eq!(slot.prev, prev, "back link of slot {i}");
+                assert_eq!(self.index.get(&slot.key), Some(&i));
+                order.push(slot.key);
+                (prev, i) = (i, slot.next);
+            }
+            assert_eq!(self.tail, prev);
+            assert_eq!(order.len(), self.slots.len());
+            assert_eq!(order.len(), self.index.len());
+            order
+        }
+    }
+
+    /// The obvious LRU: per shard, a `Vec` ordered from most to least
+    /// recently used, searched linearly.
+    struct NaivePool {
+        capacity: usize,
+        capacity_per_shard: usize,
+        shards: Vec<Vec<(FramePageKey, Page)>>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl NaivePool {
+        fn get(&mut self, shard: usize, key: FramePageKey) -> Option<Page> {
+            let lru = &mut self.shards[shard];
+            match lru.iter().position(|(k, _)| *k == key) {
+                Some(at) => {
+                    self.hits += 1;
+                    let entry = lru.remove(at);
+                    lru.insert(0, entry);
+                    Some(lru[0].1.clone())
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, shard: usize, key: FramePageKey, page: Page) {
+            if self.capacity == 0 {
+                return;
+            }
+            let lru = &mut self.shards[shard];
+            if let Some(at) = lru.iter().position(|(k, _)| *k == key) {
+                lru.remove(at);
+            } else if lru.len() >= self.capacity_per_shard {
+                lru.pop();
+                self.evictions += 1;
+            }
+            lru.insert(0, (key, page));
+        }
+    }
+
+    /// Drives the pool and the naive model with the same seeded operation
+    /// stream and compares victims (full recency order per shard), returned
+    /// pages and counters after every step.
+    fn check_against_naive_model(capacity: usize, files: u32, pages: u64, steps: usize) {
+        use odyssey_geom::{Aabb, DatasetId, ObjectId, SpatialObject, Vec3};
+        let pool = BufferPool::new(capacity);
+        let mut model = NaivePool {
+            capacity,
+            capacity_per_shard: pool.capacity_per_shard,
+            shards: vec![Vec::new(); pool.shard_count()],
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        };
+        // A small palette of distinguishable pages.
+        let palette: Vec<Page> = (0..16u64)
+            .map(|i| {
+                let obj = SpatialObject::new(
+                    ObjectId(i),
+                    DatasetId(0),
+                    Aabb::from_min_max(Vec3::ZERO, Vec3::ONE),
+                );
+                Page::from_objects(&[obj]).unwrap()
+            })
+            .collect();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64 ^ capacity as u64;
+        let mut next = move || {
+            // xorshift64*
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 16
+        };
+        for step in 0..steps {
+            let key = key((next() % files as u64) as u32, next() % pages);
+            let shard = pool.shard_index(&key);
+            let page = &palette[(next() % palette.len() as u64) as usize];
+            // Whole-pool operations are rare enough for a large pool to fill
+            // up (and evict) between them.
+            let mut touched = shard..shard + 1;
+            match next() % 10_000 {
+                0..=4_499 => assert_eq!(pool.get(key), model.get(shard, key), "step {step}"),
+                4_500..=8_499 => {
+                    pool.insert(key, page.clone());
+                    model.insert(shard, key, page.clone());
+                }
+                8_500..=9_299 => {
+                    pool.update_if_resident(key, page);
+                    if let Some(entry) = model.shards[shard].iter_mut().find(|(k, _)| *k == key) {
+                        entry.1 = page.clone();
+                    }
+                }
+                9_300..=9_949 => {
+                    pool.invalidate(key);
+                    model.shards[shard].retain(|(k, _)| *k != key);
+                }
+                9_950..=9_989 => {
+                    pool.invalidate_file(key.0);
+                    for lru in &mut model.shards {
+                        lru.retain(|(k, _)| k.0 != key.0);
+                    }
+                    touched = 0..pool.shard_count();
+                }
+                _ => {
+                    pool.clear();
+                    model.shards.iter_mut().for_each(Vec::clear);
+                    touched = 0..pool.shard_count();
+                }
+            }
+            for shard in touched {
+                let (shard, lru) = (pool.shards[shard].lock(), &model.shards[shard]);
+                let expected: Vec<FramePageKey> = lru.iter().map(|(k, _)| *k).collect();
+                assert_eq!(shard.recency(), expected, "step {step}");
+                for (key, page) in lru {
+                    assert_eq!(&shard.slots[shard.index[key]].page, page, "step {step}");
+                }
+            }
+            assert_eq!(
+                (pool.hits(), pool.misses(), pool.evictions()),
+                (model.hits, model.misses, model.evictions),
+                "step {step}"
+            );
+        }
+        assert!(
+            model.evictions > 0 || capacity == 0,
+            "the stream must evict"
+        );
+    }
+
+    #[test]
+    fn single_shard_pool_matches_the_naive_lru() {
+        check_against_naive_model(8, 3, 12, 20_000);
+        check_against_naive_model(1, 2, 4, 2_000);
+        check_against_naive_model(0, 2, 4, 200);
+    }
+
+    #[test]
+    fn sharded_pool_matches_the_naive_lru() {
+        // 64 slots per shard, ~5x as many keys as slots.
+        check_against_naive_model(SHARD_MIN_CAPACITY, 50, 100, 40_000);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! All operations take `&self` so that a [`crate::StorageManager`] can be
 //! shared across query threads. Individual page reads and writes are atomic
-//! at page granularity (a reader never observes a half-written page);
+//! at page granularity (a reader never observes a half-written page; a
+//! [`MemFile`] hands out and keeps shared, copy-on-write [`Page`] frames);
 //! multi-page runs are kept consistent by the index-level locks of the
 //! callers (see the crate docs of `odyssey-core`).
 
@@ -215,10 +216,12 @@ impl PagedFile for DiskFile {
         if page.0 >= len {
             return Err(out_of_range(page, len));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
+        // Read straight into the frame the caller (and then the buffer
+        // pool) will share: one allocation, no copy.
+        let mut data = Page::zeroed();
         self.file
-            .read_exact_at(&mut buf, page.0 * PAGE_SIZE as u64)?;
-        Ok(Page::from_bytes(buf))
+            .read_exact_at(data.as_bytes_mut(), page.0 * PAGE_SIZE as u64)?;
+        Ok(data)
     }
 
     fn write_page(&self, page: PageId, data: &Page) -> StorageResult<()> {

@@ -14,7 +14,9 @@
 //! * the file table is an `RwLock<Vec<Arc<…>>>` — reads of *different* files
 //!   (and, for the in-memory backend, of different pages of the same file)
 //!   proceed fully in parallel; creating a file takes the write lock briefly;
-//! * the buffer pool is sharded (see [`BufferPool`]);
+//! * the buffer pool is sharded (see [`BufferPool`]) and holds shared page
+//!   frames: a miss reads from the device into the frame the pool then
+//!   shares with the caller, a hit is a refcount bump;
 //! * the I/O counters are atomics ([`crate::stats::AtomicIoStats`]);
 //! * the sequential/random access classifier keeps the last-touched page in
 //!   one atomic word. Under concurrency the classification is a best-effort
@@ -33,7 +35,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::fault::{self, FaultPlan, FaultState, SiteClass};
 use crate::file::{DiskFile, FaultHookFile, FaultInjectingFile, FileId, MemFile, PagedFile};
 use crate::manifest::{Manifest, ManifestFileEntry, MANIFEST_FILE_NAME};
-use crate::page::{pack_objects, Page, PageId};
+use crate::page::{pages_needed, Page, PageId, OBJECTS_PER_PAGE};
 use crate::stats::{AtomicIoStats, IoStats};
 use crate::sync::{Exclusive, LockClass, Shared};
 use crate::wal::{MetaWal, WAL_FILE_NAME};
@@ -896,47 +898,56 @@ impl StorageManager {
         Ok(data)
     }
 
-    /// Stamps the page's checksum, without copying when it is already valid
-    /// (pages built through [`Page::from_objects`] / [`Page::empty`] arrive
-    /// pre-stamped; only hand-mutated pages pay the clone).
-    fn stamped(data: &Page) -> std::borrow::Cow<'_, Page> {
-        if data.verify_checksum() {
-            std::borrow::Cow::Borrowed(data)
-        } else {
-            let mut page = data.clone();
-            page.stamp_checksum();
-            std::borrow::Cow::Owned(page)
-        }
-    }
-
-    /// Overwrites one page (write-through to the buffer pool), stamping the
-    /// page's header CRC-32 first.
-    pub fn write_page(&self, file: FileId, page: PageId, data: &Page) -> StorageResult<()> {
-        let stamped = Self::stamped(data);
-        let entry = self.entry(file)?;
-        entry.file.write_page(page, &stamped)?;
-        if Self::classify(&self.last_write, file, page.0) {
+    /// Charges one device write against the sequential/random classifier.
+    fn note_write(&self, file: FileId, page: u64) {
+        if Self::classify(&self.last_write, file, page) {
             AtomicIoStats::add(&self.stats.sequential_writes, 1);
         } else {
             AtomicIoStats::add(&self.stats.random_writes, 1);
         }
-        self.buffer.update_if_resident((file, page), &stamped);
+    }
+
+    /// Overwrites one page with an already stamped image, write-through to
+    /// the buffer pool (which then shares `data`'s frame).
+    fn write_stamped(
+        &self,
+        entry: &FileEntry,
+        file: FileId,
+        page: PageId,
+        data: &Page,
+    ) -> StorageResult<()> {
+        entry.file.write_page(page, data)?;
+        self.note_write(file, page.0);
+        self.buffer.update_if_resident((file, page), data);
         Ok(())
     }
 
-    /// Appends one page at the end of a file, stamping its header CRC-32.
-    pub fn append_page(&self, file: FileId, data: &Page) -> StorageResult<PageId> {
-        let stamped = Self::stamped(data);
-        let entry = self.entry(file)?;
-        let id = entry.file.append_page(&stamped)?;
+    /// Appends an already stamped page image at the end of a file.
+    fn append_stamped(
+        &self,
+        entry: &FileEntry,
+        file: FileId,
+        data: &Page,
+    ) -> StorageResult<PageId> {
+        let id = entry.file.append_page(data)?;
         // Appends at the end of a file are sequential whenever the previous
         // write targeted the preceding page of the same file.
-        if Self::classify(&self.last_write, file, id.0) {
-            AtomicIoStats::add(&self.stats.sequential_writes, 1);
-        } else {
-            AtomicIoStats::add(&self.stats.random_writes, 1);
-        }
+        self.note_write(file, id.0);
         Ok(id)
+    }
+
+    /// Overwrites one page (write-through to the buffer pool). The page
+    /// reaches the device with a valid header CRC-32: a page whose slot is
+    /// already right (anything built by [`Page::from_objects`] or
+    /// [`Page::empty`]) is written as is, a hand-mutated one is restamped.
+    pub fn write_page(&self, file: FileId, page: PageId, data: &Page) -> StorageResult<()> {
+        self.write_stamped(&*self.entry(file)?, file, page, &data.stamped())
+    }
+
+    /// Appends one page at the end of a file, with a valid header CRC-32
+    /// (see [`StorageManager::write_page`]).
+    pub fn append_page(&self, file: FileId, data: &Page) -> StorageResult<PageId> {
+        self.append_stamped(&*self.entry(file)?, file, &data.stamped())
     }
 
     /// Grows a file with empty pages up to `pages` pages through the
@@ -952,11 +963,7 @@ impl StorageManager {
         }
         entry.file.grow_to(pages)?;
         for p in current..pages {
-            if Self::classify(&self.last_write, file, p) {
-                AtomicIoStats::add(&self.stats.sequential_writes, 1);
-            } else {
-                AtomicIoStats::add(&self.stats.random_writes, 1);
-            }
+            self.note_write(file, p);
         }
         Ok(())
     }
@@ -968,7 +975,8 @@ impl StorageManager {
         file: FileId,
         range: Range<u64>,
     ) -> StorageResult<Vec<SpatialObject>> {
-        let mut out = Vec::new();
+        let pages = range.end.saturating_sub(range.start) as usize;
+        let mut out = Vec::with_capacity(pages * OBJECTS_PER_PAGE);
         self.read_objects_into(file, range, &mut out)?;
         Ok(out)
     }
@@ -991,7 +999,8 @@ impl StorageManager {
     }
 
     /// Appends the objects as densely packed pages at the end of `file`,
-    /// returning the page range they occupy.
+    /// returning the page range they occupy. Each page is encoded through
+    /// one scratch page and stamped once, on its way to the device.
     ///
     /// The pages of one call are appended back to back; callers that append
     /// to the same file from several threads must serialize those calls (the
@@ -1001,12 +1010,15 @@ impl StorageManager {
         file: FileId,
         objects: &[SpatialObject],
     ) -> StorageResult<Range<u64>> {
-        let start = self.num_pages(file)?;
-        for page in pack_objects(objects) {
-            self.append_page(file, &page)?;
+        let entry = self.entry(file)?;
+        let start = entry.file.num_pages();
+        let mut scratch = Page::zeroed();
+        for chunk in objects.chunks(OBJECTS_PER_PAGE) {
+            scratch.set_objects(chunk)?;
+            self.append_stamped(&entry, file, &scratch)?;
         }
         AtomicIoStats::add(&self.stats.objects_written, objects.len() as u64);
-        Ok(start..self.num_pages(file)?)
+        Ok(start..entry.file.num_pages())
     }
 
     /// Rewrites the objects into pages starting at `start_page`, growing the
@@ -1019,11 +1031,13 @@ impl StorageManager {
         start_page: u64,
         objects: &[SpatialObject],
     ) -> StorageResult<Range<u64>> {
-        let pages = pack_objects(objects);
-        let end = start_page + pages.len() as u64;
+        let end = start_page + pages_needed(objects.len());
         self.grow_to(file, end)?;
-        for (i, page) in pages.iter().enumerate() {
-            self.write_page(file, PageId(start_page + i as u64), page)?;
+        let entry = self.entry(file)?;
+        let mut scratch = Page::zeroed();
+        for (page, chunk) in (start_page..end).zip(objects.chunks(OBJECTS_PER_PAGE)) {
+            scratch.set_objects(chunk)?;
+            self.write_stamped(&entry, file, PageId(page), &scratch)?;
         }
         AtomicIoStats::add(&self.stats.objects_written, objects.len() as u64);
         Ok(start_page..end)
@@ -1033,7 +1047,7 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
+    use crate::page::{pack_objects, PAGE_SIZE};
     use odyssey_geom::{Aabb, DatasetId, ObjectId, Vec3};
 
     fn objs(n: u64) -> Vec<SpatialObject> {
@@ -1257,6 +1271,99 @@ mod tests {
         ));
         // A cached page is trusted; re-reading page 0 still works.
         assert!(m.read_page(f, PageId(0)).is_ok());
+    }
+
+    #[test]
+    fn bulk_writers_read_back_through_the_device_check() {
+        let dir = tempfile::tempdir().unwrap();
+        let m = StorageManager::new(StorageOptions::on_disk(dir.path(), 16));
+        let f = m.create_file("data").unwrap();
+        // Both bulk writers stamp each page once and hand it to the device
+        // unverified; a cold read-back (which does verify) must accept them.
+        m.append_objects(f, &objs(100)).unwrap();
+        m.write_objects_at(f, 1, &objs(150)).unwrap();
+        m.clear_cache();
+        let mut back = Vec::new();
+        assert_eq!(m.read_objects_into(f, 0..4, &mut back).unwrap(), 63 + 150);
+        // The on-disk pages are exactly what `Page::from_objects` builds.
+        let path = dir.path().join("0000_data.pages");
+        let mut bytes = std::fs::read(&path).unwrap();
+        for (i, page) in pack_objects(&objs(150)).iter().enumerate() {
+            let at = (1 + i) * PAGE_SIZE;
+            assert_eq!(&bytes[at..at + PAGE_SIZE], page.as_bytes(), "page {i}");
+        }
+        // A bit flipped in a bulk-written page is caught on every read path.
+        bytes[2 * PAGE_SIZE + 777] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+        m.clear_cache();
+        assert!(matches!(
+            m.read_page(f, PageId(2)),
+            Err(StorageError::CorruptPage { file: 0, page: 2 })
+        ));
+        assert!(matches!(
+            m.read_objects_into(f, 0..4, &mut back),
+            Err(StorageError::CorruptPage { file: 0, page: 2 })
+        ));
+        assert!(matches!(
+            m.read_objects(f, 2..3),
+            Err(StorageError::CorruptPage { file: 0, page: 2 })
+        ));
+    }
+
+    #[test]
+    fn mutating_a_read_page_never_changes_the_resident_frame() {
+        let dir = tempfile::tempdir().unwrap();
+        for options in [
+            StorageOptions::in_memory(16),
+            StorageOptions::on_disk(dir.path(), 16),
+        ] {
+            let m = StorageManager::new(options);
+            let f = m.create_file("data").unwrap();
+            m.append_objects(f, &objs(63)).unwrap();
+            let pristine = m.read_page(f, PageId(0)).unwrap();
+            // The miss above made the page resident; scribble over the handle
+            // a second (hit) read returns.
+            let mut scribbled = m.read_page(f, PageId(0)).unwrap();
+            scribbled.as_bytes_mut()[PAGE_SIZE / 2] ^= 0xFF;
+            assert_ne!(scribbled, pristine);
+            // Neither the resident frame nor the device saw it.
+            assert_eq!(m.read_page(f, PageId(0)).unwrap(), pristine);
+            m.clear_cache();
+            let reread = m.read_page(f, PageId(0)).unwrap();
+            assert_eq!(reread, pristine);
+            assert_eq!(reread.objects().unwrap(), objs(63));
+        }
+    }
+
+    #[test]
+    fn hand_mutated_pages_land_with_a_valid_checksum() {
+        let dir = tempfile::tempdir().unwrap();
+        let m = StorageManager::new(StorageOptions::on_disk(dir.path(), 16));
+        let f = m.create_file("data").unwrap();
+        m.append_objects(f, &objs(2 * 63)).unwrap();
+        // Resident, so the write-through below replaces a pool frame too.
+        m.read_page(f, PageId(0)).unwrap();
+        let mut page = Page::from_objects(&objs(3)).unwrap();
+        page.as_bytes_mut()[8] = 0x5A; // reserved header byte; slot now stale
+        assert!(!page.verify_checksum());
+        m.write_page(f, PageId(0), &page).unwrap();
+        assert_eq!(m.append_page(f, &page).unwrap(), PageId(2));
+        assert!(!page.verify_checksum(), "the caller's page is left alone");
+        // The pool serves the restamped image…
+        let resident = m.read_page(f, PageId(0)).unwrap();
+        assert!(resident.verify_checksum());
+        assert_eq!(resident.as_bytes()[8], 0x5A);
+        // …and so does the device, for both the overwrite and the append.
+        m.clear_cache();
+        for p in [0, 2] {
+            let cold = m.read_page(f, PageId(p)).unwrap();
+            assert_eq!(cold, resident);
+            assert_eq!(cold.objects().unwrap(), objs(3));
+        }
+        // An already valid page is written as is.
+        m.write_page(f, PageId(1), &resident).unwrap();
+        m.clear_cache();
+        assert_eq!(m.read_page(f, PageId(1)).unwrap(), resident);
     }
 
     #[test]

@@ -7,15 +7,26 @@
 //!
 //! Header layout: bytes 0..4 magic, 4..6 record count, 6..12 reserved,
 //! 12..16 a CRC-32 of the rest of the page ([`PAGE_CHECKSUM_OFFSET`]). The
-//! checksum is owned by the [`crate::StorageManager`]: it stamps it on every
-//! write path and verifies it on every device read, surfacing
-//! [`StorageError::CorruptPage`] on a mismatch. Code that builds pages by
-//! hand only has to leave the slot alone.
+//! checksum is owned by the [`crate::StorageManager`]: every page is stamped
+//! exactly once on its way to the device and verified on every device read,
+//! surfacing [`StorageError::CorruptPage`] on a mismatch. Code that builds
+//! pages by hand only has to leave the slot alone.
+//!
+//! # Shared frames
+//!
+//! A [`Page`] is a handle on a reference-counted 4 KB frame: cloning one is a
+//! refcount bump, not a copy, so the buffer pool, an in-memory file and any
+//! number of readers can hold the same bytes. Mutation goes through
+//! [`Page::as_bytes_mut`], which copies the frame first if anyone else still
+//! holds it (copy-on-write) — a reader can never change what the pool or a
+//! file has.
 
 use crate::crc::{crc32_finish, crc32_update};
 use crate::error::{StorageError, StorageResult};
 use odyssey_geom::{Aabb, DatasetId, ObjectId, SpatialObject, Vec3};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Size of one disk page in bytes (the paper's configuration).
 pub const PAGE_SIZE: usize = 4096;
@@ -36,6 +47,12 @@ pub const PAGE_CHECKSUM_OFFSET: usize = 12;
 /// Magic bytes identifying an object page (helps catch corruption in tests).
 const PAGE_MAGIC: [u8; 4] = *b"SOPG";
 
+/// Checksum of the empty object page (magic, zero records, zero payload), so
+/// [`Page::empty`] — which bulk pre-allocation calls per page — costs no CRC.
+/// Part of the on-disk format; the unit tests hold it equal to a computed
+/// stamp.
+const EMPTY_PAGE_CHECKSUM: u32 = 0x658F_D8C8;
+
 /// Index of a page within a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct PageId(pub u64);
@@ -48,14 +65,15 @@ impl PageId {
     }
 }
 
-/// An in-memory image of one disk page.
+/// An in-memory image of one disk page: a cheap handle on a shared,
+/// copy-on-write frame (see the module docs).
 ///
 /// A page is always exactly [`PAGE_SIZE`] bytes. Helper methods encode and
 /// decode object records; raw byte access is available for the few callers
 /// (e.g. R-tree node pages) that use their own layout.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    bytes: Box<[u8]>,
+    frame: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl std::fmt::Debug for Page {
@@ -73,12 +91,20 @@ impl Default for Page {
 }
 
 impl Page {
-    /// Creates a zeroed page with a valid empty-object-page header.
+    /// A fresh all-zero frame (no header): the buffer a device read fills.
+    pub(crate) fn zeroed() -> Self {
+        Page {
+            frame: Arc::new([0u8; PAGE_SIZE]),
+        }
+    }
+
+    /// Creates a zeroed page with a valid, stamped empty-object-page header.
     pub fn empty() -> Self {
-        let mut bytes = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let mut page = Page::zeroed();
+        let bytes = page.as_bytes_mut();
         bytes[..4].copy_from_slice(&PAGE_MAGIC);
-        let mut page = Page { bytes };
-        page.stamp_checksum();
+        bytes[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
+            .copy_from_slice(&EMPTY_PAGE_CHECKSUM.to_le_bytes());
         page
     }
 
@@ -92,42 +118,66 @@ impl Page {
             PAGE_SIZE,
             "a page must be exactly {PAGE_SIZE} bytes"
         );
-        Page {
-            bytes: bytes.into_boxed_slice(),
-        }
+        let mut page = Page::zeroed();
+        page.as_bytes_mut().copy_from_slice(&bytes);
+        page
     }
 
-    /// Builds a page holding the given object records.
+    /// Builds a stamped page holding the given object records.
     ///
     /// # Errors
     /// Returns [`StorageError::PageOverflow`] if more than
     /// [`OBJECTS_PER_PAGE`] objects are supplied.
     pub fn from_objects(objects: &[SpatialObject]) -> StorageResult<Self> {
+        let mut page = Page::zeroed();
+        page.set_objects(objects)?;
+        Ok(page)
+    }
+
+    /// Re-encodes this page to hold exactly `objects`, stamped — byte for
+    /// byte what [`Page::from_objects`] builds. The bulk writers encode run
+    /// after run through one scratch page with this: the frame is reused
+    /// while nobody else holds it and replaced (not copied) when a file or
+    /// the pool kept the previous contents.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::PageOverflow`] (leaving the page untouched) if
+    /// more than [`OBJECTS_PER_PAGE`] objects are supplied.
+    pub(crate) fn set_objects(&mut self, objects: &[SpatialObject]) -> StorageResult<()> {
         if objects.len() > OBJECTS_PER_PAGE {
             return Err(StorageError::PageOverflow {
                 requested: objects.len(),
                 capacity: OBJECTS_PER_PAGE,
             });
         }
-        let mut page = Page::empty();
-        page.set_record_count(objects.len() as u16);
-        for (i, obj) in objects.iter().enumerate() {
-            encode_record(obj, page.record_slice_mut(i));
+        if Arc::get_mut(&mut self.frame).is_none() {
+            *self = Page::zeroed();
         }
-        page.stamp_checksum();
-        Ok(page)
+        let bytes = self.as_bytes_mut();
+        bytes[..4].copy_from_slice(&PAGE_MAGIC);
+        bytes[4..6].copy_from_slice(&(objects.len() as u16).to_le_bytes());
+        bytes[6..PAGE_HEADER_SIZE].fill(0);
+        let (records, unused) = bytes[PAGE_HEADER_SIZE..].split_at_mut(objects.len() * RECORD_SIZE);
+        for (obj, buf) in objects.iter().zip(records.chunks_exact_mut(RECORD_SIZE)) {
+            encode_record(obj, buf);
+        }
+        unused.fill(0);
+        self.stamp_checksum();
+        Ok(())
     }
 
     /// Raw byte view of the page.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.frame[..]
     }
 
-    /// Mutable raw byte view of the page.
+    /// Mutable raw byte view of the page. If the frame is shared (the buffer
+    /// pool, a file or another handle holds it too) it is copied first, so
+    /// the other holders keep the bytes they had.
     #[inline]
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
+        &mut Arc::make_mut(&mut self.frame)[..]
     }
 
     /// Number of object records stored in the page.
@@ -136,10 +186,10 @@ impl Page {
     /// Returns [`StorageError::Corrupt`] if the header is not an object page
     /// header or the count exceeds the page capacity.
     pub fn record_count(&self) -> StorageResult<usize> {
-        if self.bytes[..4] != PAGE_MAGIC {
+        if self.frame[..4] != PAGE_MAGIC {
             return Err(StorageError::Corrupt("missing object-page magic".into()));
         }
-        let count = u16::from_le_bytes([self.bytes[4], self.bytes[5]]) as usize;
+        let count = u16::from_le_bytes([self.frame[4], self.frame[5]]) as usize;
         if count > OBJECTS_PER_PAGE {
             return Err(StorageError::Corrupt(format!(
                 "record count {count} exceeds page capacity {OBJECTS_PER_PAGE}"
@@ -148,52 +198,58 @@ impl Page {
         Ok(count)
     }
 
-    fn set_record_count(&mut self, count: u16) {
-        self.bytes[4..6].copy_from_slice(&count.to_le_bytes());
-    }
-
-    fn record_slice(&self, i: usize) -> &[u8] {
-        let start = PAGE_HEADER_SIZE + i * RECORD_SIZE;
-        &self.bytes[start..start + RECORD_SIZE]
-    }
-
-    fn record_slice_mut(&mut self, i: usize) -> &mut [u8] {
-        let start = PAGE_HEADER_SIZE + i * RECORD_SIZE;
-        &mut self.bytes[start..start + RECORD_SIZE]
-    }
-
     /// CRC-32 of the page contents, excluding the checksum slot itself.
     fn content_checksum(&self) -> u32 {
-        let state = crc32_update(0xFFFF_FFFF, &self.bytes[..PAGE_CHECKSUM_OFFSET]);
-        crc32_finish(crc32_update(state, &self.bytes[PAGE_CHECKSUM_OFFSET + 4..]))
+        let state = crc32_update(0xFFFF_FFFF, &self.frame[..PAGE_CHECKSUM_OFFSET]);
+        crc32_finish(crc32_update(state, &self.frame[PAGE_CHECKSUM_OFFSET + 4..]))
     }
 
-    /// Writes the content checksum into the header's checksum slot. Called by
-    /// the storage manager on every write path ([`Page::empty`] pages start
-    /// out stamped, so bulk pre-allocation stays valid).
+    fn stored_checksum(&self) -> u32 {
+        let f = &self.frame;
+        u32::from_le_bytes([
+            f[PAGE_CHECKSUM_OFFSET],
+            f[PAGE_CHECKSUM_OFFSET + 1],
+            f[PAGE_CHECKSUM_OFFSET + 2],
+            f[PAGE_CHECKSUM_OFFSET + 3],
+        ])
+    }
+
+    fn set_stored_checksum(&mut self, crc: u32) {
+        self.as_bytes_mut()[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
+            .copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Writes the content checksum into the header's checksum slot. Pages
+    /// built by [`Page::empty`] and [`Page::from_objects`] arrive stamped;
+    /// the storage manager restamps a hand-mutated page on its write paths.
     pub fn stamp_checksum(&mut self) {
         let crc = self.content_checksum();
-        self.bytes[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
-            .copy_from_slice(&crc.to_le_bytes());
+        self.set_stored_checksum(crc);
+    }
+
+    /// This page with a valid checksum — itself when the slot already
+    /// matches, a restamped copy when it was mutated by hand — for one CRC
+    /// either way.
+    pub(crate) fn stamped(&self) -> Cow<'_, Page> {
+        let crc = self.content_checksum();
+        if self.stored_checksum() == crc {
+            Cow::Borrowed(self)
+        } else {
+            let mut page = self.clone();
+            page.set_stored_checksum(crc);
+            Cow::Owned(page)
+        }
     }
 
     /// Verifies the stored checksum against the page contents.
     pub fn verify_checksum(&self) -> bool {
-        let stored = u32::from_le_bytes(
-            self.bytes[PAGE_CHECKSUM_OFFSET..PAGE_CHECKSUM_OFFSET + 4]
-                .try_into()
-                .expect("checksum slot is 4 bytes"), // analyzer: allow(fixed 4-byte checksum slot)
-        );
-        stored == self.content_checksum()
+        self.stored_checksum() == self.content_checksum()
     }
 
     /// Decodes every object record stored in the page.
     pub fn objects(&self) -> StorageResult<Vec<SpatialObject>> {
-        let count = self.record_count()?;
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            out.push(decode_record(self.record_slice(i))?);
-        }
+        let mut out = Vec::new();
+        self.objects_into(&mut out)?;
         Ok(out)
     }
 
@@ -202,8 +258,9 @@ impl Page {
     pub fn objects_into(&self, out: &mut Vec<SpatialObject>) -> StorageResult<usize> {
         let count = self.record_count()?;
         out.reserve(count);
-        for i in 0..count {
-            out.push(decode_record(self.record_slice(i))?);
+        let records = &self.frame[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + count * RECORD_SIZE];
+        for buf in records.chunks_exact(RECORD_SIZE) {
+            out.push(decode_record(buf)?);
         }
         Ok(count)
     }
@@ -405,6 +462,55 @@ mod tests {
         p.stamp_checksum();
         p.as_bytes_mut()[PAGE_CHECKSUM_OFFSET] ^= 0xFF;
         assert!(!p.verify_checksum());
+    }
+
+    #[test]
+    fn empty_page_constant_matches_a_computed_stamp() {
+        let empty = Page::empty();
+        let mut restamped = empty.clone();
+        restamped.stamp_checksum();
+        assert_eq!(restamped, empty);
+        // An empty page is what encoding zero objects produces.
+        assert_eq!(Page::from_objects(&[]).unwrap(), empty);
+    }
+
+    #[test]
+    fn clones_share_a_frame_until_one_is_written() {
+        let original = Page::from_objects(&[obj(1, 2, 0.0, 1.0)]).unwrap();
+        let mut copy = original.clone();
+        assert!(std::ptr::eq(original.as_bytes(), copy.as_bytes()));
+        copy.as_bytes_mut()[PAGE_HEADER_SIZE] ^= 0xFF;
+        assert!(!std::ptr::eq(original.as_bytes(), copy.as_bytes()));
+        assert!(original.verify_checksum(), "the other holder is untouched");
+        assert_ne!(copy, original);
+        assert!(!copy.verify_checksum());
+    }
+
+    #[test]
+    fn set_objects_rebuilds_exactly_what_from_objects_builds() {
+        let full: Vec<_> = (0..OBJECTS_PER_PAGE as u64)
+            .map(|i| obj(i, 3, i as f64, i as f64 + 2.0))
+            .collect();
+        // Whatever the scratch page held — more records, fewer, garbage in
+        // the reserved header bytes — the result is byte-identical.
+        let mut scratch = Page::from_objects(&full).unwrap();
+        scratch.as_bytes_mut()[7] = 0xEE;
+        for n in [5usize, 0, OBJECTS_PER_PAGE, 1] {
+            scratch.set_objects(&full[..n]).unwrap();
+            assert_eq!(scratch, Page::from_objects(&full[..n]).unwrap(), "{n}");
+            assert!(scratch.verify_checksum());
+        }
+        // A holder of the previous contents keeps them.
+        let kept = scratch.clone();
+        scratch.set_objects(&full[..9]).unwrap();
+        assert_eq!(kept.record_count().unwrap(), 1);
+        assert_eq!(scratch.record_count().unwrap(), 9);
+        // Overflow leaves the page as it was.
+        let too_many: Vec<_> = (0..=OBJECTS_PER_PAGE as u64)
+            .map(|i| obj(i, 0, 0.0, 1.0))
+            .collect();
+        assert!(scratch.set_objects(&too_many).is_err());
+        assert_eq!(scratch.record_count().unwrap(), 9);
     }
 
     #[test]

@@ -64,8 +64,9 @@ pub struct WalRecovery {
 struct WalState {
     /// Bytes of the record stream written so far (excluding the header page).
     len: u64,
-    /// Contents of the current partial tail page.
-    tail: Box<[u8]>,
+    /// Contents of the current partial tail page, written to the device as
+    /// is on every append (no per-record copy).
+    tail: Page,
     /// Set when an append failed partway: the on-disk stream may end in a
     /// torn frame, so later appends — which replay would discard along with
     /// the torn frame — must not pretend to be durable.
@@ -80,7 +81,7 @@ pub struct MetaWal {
 }
 
 fn header_page(epoch: u64) -> Page {
-    let mut page = Page::from_bytes(vec![0u8; PAGE_SIZE]);
+    let mut page = Page::zeroed();
     let bytes = page.as_bytes_mut();
     bytes[..4].copy_from_slice(&WAL_MAGIC);
     bytes[4..8].copy_from_slice(&WAL_VERSION.to_le_bytes());
@@ -120,7 +121,7 @@ impl MetaWal {
                 LockClass::WalState,
                 WalState {
                     len: 0,
-                    tail: vec![0u8; PAGE_SIZE].into_boxed_slice(),
+                    tail: Page::zeroed(),
                     poisoned: false,
                 },
             ),
@@ -199,11 +200,12 @@ impl MetaWal {
 
         // Position the appender right after the last valid record.
         let len = offset as u64;
-        let mut tail = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let mut tail = Page::zeroed();
         let tail_bytes = (len % PAGE_SIZE as u64) as usize;
         if tail_bytes > 0 {
             let page_start = (len as usize) - tail_bytes;
-            tail[..tail_bytes].copy_from_slice(&stream[page_start..page_start + tail_bytes]);
+            tail.as_bytes_mut()[..tail_bytes]
+                .copy_from_slice(&stream[page_start..page_start + tail_bytes]);
         }
         // Drop any pages past the append point so later appends and the
         // replayed state agree on the file's shape.
@@ -288,12 +290,12 @@ impl MetaWal {
         while written < frame.len() {
             let tail_bytes = (state.len % PAGE_SIZE as u64) as usize;
             let take = (PAGE_SIZE - tail_bytes).min(frame.len() - written);
-            state.tail[tail_bytes..tail_bytes + take]
+            state.tail.as_bytes_mut()[tail_bytes..tail_bytes + take]
                 .copy_from_slice(&frame[written..written + take]);
             if tail_bytes + take == PAGE_SIZE {
                 // The tail page filled up: persist it and start a fresh one.
                 self.persist_tail(state)?;
-                state.tail.fill(0);
+                state.tail.as_bytes_mut().fill(0);
             }
             state.len += take as u64;
             written += take;
@@ -311,12 +313,11 @@ impl MetaWal {
     fn persist_tail(&self, state: &WalState) -> StorageResult<()> {
         let _cover = fault::enter("MetaWal::persist_tail");
         let page_index = 1 + state.len / PAGE_SIZE as u64;
-        let page = Page::from_bytes(state.tail.to_vec());
         if page_index < self.file.num_pages() {
-            self.file.write_page(PageId(page_index), &page)
+            self.file.write_page(PageId(page_index), &state.tail)
         } else {
             debug_assert_eq!(page_index, self.file.num_pages());
-            self.file.append_page(&page).map(|_| ())
+            self.file.append_page(&state.tail).map(|_| ())
         }
     }
 
@@ -329,7 +330,7 @@ impl MetaWal {
         self.epoch = epoch;
         let mut state = self.wal_state.lock();
         state.len = 0;
-        state.tail.fill(0);
+        state.tail.as_bytes_mut().fill(0);
         state.poisoned = false;
         Ok(())
     }
@@ -344,8 +345,7 @@ impl MetaWal {
         // old log (manifest epoch has moved on → ignored) or an unreadable
         // one (→ treated as empty) — never a new header over stale records.
         if self.file.num_pages() > 0 {
-            self.file
-                .write_page(PageId(0), &Page::from_bytes(vec![0u8; PAGE_SIZE]))?;
+            self.file.write_page(PageId(0), &Page::zeroed())?;
         }
         self.file.truncate(1)?;
         self.file.sync()?;
