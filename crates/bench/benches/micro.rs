@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the building blocks: partitioning and
-//! refinement, the static index builds and probes, merge-file reads, and the
-//! page service path of the storage layer (checksum, page codec, buffer-pool
-//! hit and miss). These measure wall-clock of the in-memory implementation
+//! refinement, the static index builds and probes, the converged read path
+//! (one merge-path query, and its thread scaling), and the page service path
+//! of the storage layer (checksum, page codec, buffer-pool hit and miss). These measure wall-clock of the in-memory implementation
 //! (they complement the simulated-seconds figures, which measure the modelled
 //! disk); the `storage/*` group reproduces the wall-clock benchmark's
 //! per-layer `storage.*` numbers without a 20-second run.
@@ -13,7 +13,7 @@ use odyssey_core::{OdysseyConfig, SpaceOdyssey};
 use odyssey_datagen::{
     BrainModel, CombinationDistribution, DatasetSpec, QueryRangeDistribution, WorkloadSpec,
 };
-use odyssey_geom::DatasetId;
+use odyssey_geom::{DatasetId, Query};
 use odyssey_storage::{
     crc32, pack_objects, write_raw_dataset, Page, PageId, RawDataset, StorageManager,
     StorageOptions, OBJECTS_PER_PAGE,
@@ -160,20 +160,69 @@ fn bench_odyssey_query_sequence(c: &mut Criterion) {
             BatchSize::LargeInput,
         );
     });
-    group.bench_function("converged_query", |b| {
-        let f = fixture(5_000, 4);
-        let queries = workload(&f.spec, &f.bounds, 100).queries;
-        let engine = SpaceOdyssey::new(OdysseyConfig::paper(f.bounds), f.raws.clone()).unwrap();
-        for q in &queries {
-            engine.execute(&f.storage, q).unwrap();
+    group.finish();
+}
+
+/// The steady-state read path on a converged 4-dataset store whose one
+/// combination is merged: `range_query` is a single merge-path range query;
+/// `batch_300_threads_{1,2}` drain the same 300 queries through
+/// `execute_query_batch_with_threads`. The ratio of the two batch times is
+/// the read path's two-thread speed-up (a converged read takes read locks
+/// only, so it has nothing to serialize on).
+fn bench_converged_query(c: &mut Criterion) {
+    let f = fixture(5_000, 4);
+    let queries: Vec<Query> = WorkloadSpec {
+        num_datasets: 4,
+        datasets_per_query: 4,
+        num_queries: 300,
+        query_volume_fraction: 1e-4,
+        range_distribution: QueryRangeDistribution::Clustered { num_clusters: 5 },
+        combination_distribution: CombinationDistribution::Zipf,
+        seed: 7,
+    }
+    .generate(&f.bounds)
+    .queries
+    .into_iter()
+    .map(Query::Range)
+    .collect();
+    let engine = SpaceOdyssey::new(OdysseyConfig::paper(f.bounds), f.raws.clone()).unwrap();
+    // Converge: repeat the workload until a pass neither refines nor merges.
+    loop {
+        let outcomes = engine
+            .execute_query_batch_with_threads(&f.storage, &queries, 1)
+            .unwrap();
+        if outcomes
+            .iter()
+            .all(|o| o.partitions_refined == 0 && !o.merge_performed)
+        {
+            break;
         }
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            engine.execute(&f.storage, q).unwrap().objects.len()
-        });
+    }
+    let merged = *queries
+        .iter()
+        .find(|q| {
+            engine
+                .execute_query(&f.storage, q)
+                .unwrap()
+                .used_merge_file()
+        })
+        .expect("a converged query reads the merge file");
+
+    let mut group = c.benchmark_group("core/converged_query");
+    group.sample_size(20);
+    group.bench_function("range_query", |b| {
+        b.iter(|| engine.execute_query(&f.storage, &merged).unwrap().count);
     });
+    for threads in [1, 2] {
+        group.bench_function(format!("batch_300_threads_{threads}"), |b| {
+            b.iter(|| {
+                engine
+                    .execute_query_batch_with_threads(&f.storage, &queries, threads)
+                    .unwrap()
+                    .len()
+            });
+        });
+    }
     group.finish();
 }
 
@@ -250,6 +299,7 @@ criterion_group!(
     bench_dataset_generation,
     bench_static_builds,
     bench_static_queries,
-    bench_odyssey_query_sequence
+    bench_odyssey_query_sequence,
+    bench_converged_query
 );
 criterion_main!(micro);

@@ -825,6 +825,76 @@ impl<'a> QueryCursor<'a> {
         }
     }
 
+    /// The merge trigger, gated by the combination's summed layout version
+    /// ([`SpaceOdyssey::layout_version`]). A merge file remembers the version
+    /// at which every retrieved key was last swept into it; every key that
+    /// sweep left out failed the same-level check, and that check depends
+    /// on the leaf key sets only. So while the version stands still, only
+    /// keys new to the statistics (`new_keys`) can merge, and the trigger
+    /// does work proportional to them:
+    ///
+    /// * file present, version unchanged, nothing stale, every new key
+    ///   already merged: decided under read locks — no exclusive lock, no
+    ///   candidate copy;
+    /// * version unchanged but new keys or a repair due: merge just the new
+    ///   keys (the merge repairs first);
+    /// * otherwise (no file, the version moved, an eviction or a reopen
+    ///   dropped the record): the full sweep over every retrieved key,
+    ///   recorded at the version read *before* it started.
+    ///
+    /// New keys are appended in key order, as a full sweep would append
+    /// them, so the file's layout is the same either way.
+    fn merge_trigger(&mut self, new_keys: Vec<PartitionKey>) -> StorageResult<()> {
+        let engine = self.engine;
+        let combination = self.stats_combination;
+        let layout = engine.layout_version(combination);
+        let incremental = {
+            let merger = engine.merger.read();
+            if !merger.should_merge(&engine.config, &engine.stats.read(), combination) {
+                return Ok(());
+            }
+            match merger.directory().get_exact(combination) {
+                Some(file) if file.swept_at() == Some(layout) => {
+                    if engine.stale_subset(file, combination).is_empty()
+                        && new_keys.iter().all(|key| file.contains(key))
+                    {
+                        return Ok(());
+                    }
+                    true
+                }
+                _ => false,
+            }
+        };
+        let candidates: Vec<PartitionKey> = if incremental {
+            new_keys
+        } else {
+            engine
+                .stats
+                .read()
+                .retrieved(combination)
+                .map(|set| set.iter().copied().collect())
+                .unwrap_or_default()
+        };
+        if candidates.is_empty() && !incremental {
+            return Ok(());
+        }
+        let mut merger = engine.merger.write();
+        let summary = merger.merge_combination(
+            self.storage,
+            &engine.config,
+            combination,
+            &candidates,
+            &engine.datasets,
+        )?;
+        if !incremental {
+            if let Some(file) = merger.directory_mut().get_exact_mut(combination) {
+                file.record_sweep(layout);
+            }
+        }
+        self.merge_performed = summary.entries_appended > 0;
+        Ok(())
+    }
+
     /// The end-of-query phases the materialized path ran after its reads:
     /// statistics + WAL record, the merge trigger, inline compaction, and
     /// the early-exit accounting.
@@ -836,9 +906,9 @@ impl<'a> QueryCursor<'a> {
                 .rows_skipped_by_early_exit
                 .fetch_add(self.rows_skipped, std::sync::atomic::Ordering::Relaxed);
         }
-        {
+        let new_keys = {
             let mut stats = engine.stats.write();
-            stats.record(self.stats_combination, &self.retrieved_union);
+            let new_keys = stats.record(self.stats_combination, &self.retrieved_union);
             durability::log(
                 self.storage,
                 MetaRecord::QueryStats {
@@ -847,35 +917,14 @@ impl<'a> QueryCursor<'a> {
                     stale_bypassed: self.stale_bypassed,
                 },
             )?;
-        }
+            new_keys
+        };
         if matches!(self.mode, CursorMode::Knn) {
             // The kNN path reads partitions directly and never benefits from
             // merge files; no merge trigger, no compaction — as before.
             return Ok(());
         }
-        let should_merge = {
-            let merger = engine.merger.read();
-            let stats = engine.stats.read();
-            merger.should_merge(&engine.config, &stats, self.stats_combination)
-        };
-        if should_merge {
-            let candidates: Vec<PartitionKey> = engine
-                .stats
-                .read()
-                .retrieved(self.stats_combination)
-                .map(|set| set.iter().copied().collect())
-                .unwrap_or_default();
-            if !candidates.is_empty() {
-                let summary = engine.merger.write().merge_combination(
-                    self.storage,
-                    &engine.config,
-                    self.stats_combination,
-                    &candidates,
-                    &engine.datasets,
-                )?;
-                self.merge_performed = summary.entries_appended > 0;
-            }
-        }
+        self.merge_trigger(new_keys)?;
         // Query-side maintenance triggers: each executed dataset whose
         // partition file crossed the dead-page ratio gets a `Compaction`
         // job. Foreground mode drains the queue before the query returns

@@ -43,14 +43,16 @@
 //! | state                               | synchronization                     |
 //! |-------------------------------------|-------------------------------------|
 //! | partition tables + partition files  | one `RwLock` per dataset            |
-//! | merge directory + merge files       | engine-level `RwLock` (read to route/read, write to merge/evict) |
+//! | merge directory + merge files       | engine-level `RwLock` (read to route/read and to decide a converged merge trigger, write to merge/repair/evict) |
 //! | statistics collector                | engine-level `RwLock` (short write per query) |
-//! | query counter, LRU clocks           | atomics                             |
+//! | query counter, LRU clocks, layout versions | atomics                      |
 //!
 //! The adaptive semantics survive contention: first-touch partitioning and
 //! each refinement happen exactly once (per-dataset write lock +
 //! re-validation), and a threshold-crossing merge is performed exactly once
-//! (merger write lock + an idempotent, append-only merge directory).
+//! (merger write lock + an idempotent, append-only merge directory). A
+//! converged query takes no exclusive lock at all: its merge trigger is
+//! gated by the combination's layout version and decided under read locks.
 //! Lock-ordering discipline: a thread only acquires a dataset lock while
 //! holding the merger or stats lock in two places — `merge_combination`
 //! (merger write lock + dataset **read** locks) and the planner's probe
@@ -1092,6 +1094,17 @@ impl SpaceOdyssey {
                 .find(|d| d.dataset() == *id)
                 .is_some_and(|d| file.is_stale_for(*id, d.ingest_seq()))
         }))
+    }
+
+    /// The summed layout version ([`DatasetIndex::layout_version`]) of the
+    /// combination's known datasets: it stands still exactly while none of
+    /// their leaf key sets changes.
+    pub(crate) fn layout_version(&self, combination: DatasetSet) -> u64 {
+        self.datasets
+            .iter()
+            .filter(|d| combination.contains(d.dataset()))
+            .map(DatasetIndex::layout_version)
+            .sum()
     }
 
     /// Ingests several batches (dataset, objects) in one call; batches are

@@ -24,11 +24,29 @@
 //! it — by appending the missing tail objects as extra runs
 //! ([`MergeFile::append_repair_run`]), reusing the append-only layout — or
 //! the router bypasses it to the per-dataset octree path.
+//!
+//! Freshness is checked on every routed read, so the high-water marks are
+//! kept up to date rather than recomputed: per dataset of the combination the
+//! file holds an ordered multiset of its entries' sync sequences (a count per
+//! sequence), updated wherever an entry's sequence changes — append, repair,
+//! restore. Its minimum *is* the high-water mark, so a freshness check costs
+//! O(datasets), not O(entries).
+//!
+//! # Sweep version
+//!
+//! A file also remembers the summed layout version
+//! ([`crate::DatasetIndex::layout_version`]) of its combination's datasets at
+//! which the Merger last swept *every* retrieved key of the combination
+//! ([`MergeFile::swept_at`]). While that sum has not moved, no leaf key set
+//! changed, so a key that failed the same-level check then fails it again:
+//! the merge trigger only has to look at keys it has never seen. The record
+//! is derived state — never persisted; a reopened or re-created file starts
+//! without one and gets a full sweep.
 
 use crate::partition::PartitionKey;
 use odyssey_geom::{DatasetId, DatasetSet, SpatialObject};
 use odyssey_storage::{FileId, StorageManager, StorageResult, OBJECTS_PER_PAGE};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One per-dataset page run inside a merge entry.
@@ -95,6 +113,45 @@ impl MergeEntry {
     }
 }
 
+/// Per dataset of a combination, the multiset of the entries' sync
+/// sequences: sequence → number of entries synced exactly there. The
+/// minimum key is the file's high-water mark for the dataset.
+#[derive(Debug, Default)]
+struct HighWater(Vec<(DatasetId, BTreeMap<u64, usize>)>);
+
+impl HighWater {
+    fn new(combination: DatasetSet) -> Self {
+        HighWater(combination.iter().map(|d| (d, BTreeMap::new())).collect())
+    }
+
+    fn add(&mut self, entry: &MergeEntry) {
+        for (dataset, seqs) in &mut self.0 {
+            *seqs.entry(entry.synced_seq(*dataset)).or_default() += 1;
+        }
+    }
+
+    fn remove(&mut self, entry: &MergeEntry) {
+        for (dataset, seqs) in &mut self.0 {
+            let seq = entry.synced_seq(*dataset);
+            if let Some(n) = seqs.get_mut(&seq) {
+                *n -= 1;
+                if *n == 0 {
+                    seqs.remove(&seq);
+                }
+            }
+        }
+    }
+
+    /// The smallest sequence recorded for `dataset`; `None` for a dataset
+    /// outside the combination or a file without entries.
+    fn min(&self, dataset: DatasetId) -> Option<u64> {
+        self.0
+            .iter()
+            .find(|(d, _)| *d == dataset)
+            .and_then(|(_, seqs)| seqs.keys().next().copied())
+    }
+}
+
 /// A merge file for one combination of datasets.
 #[derive(Debug)]
 pub struct MergeFile {
@@ -102,10 +159,12 @@ pub struct MergeFile {
     pub combination: DatasetSet,
     file: FileId,
     entries: HashMap<PartitionKey, MergeEntry>,
+    high_water: HighWater,
     total_pages: u64,
     /// Logical timestamp of the last query that used this file (LRU). Atomic
     /// so routing can refresh recency through a shared reference.
     pub last_used: AtomicU64,
+    swept_at: Option<u64>,
 }
 
 impl MergeFile {
@@ -120,14 +179,17 @@ impl MergeFile {
             combination,
             file,
             entries: HashMap::new(),
+            high_water: HighWater::new(combination),
             total_pages: 0,
             last_used: AtomicU64::new(0),
+            swept_at: None,
         })
     }
 
     /// Reinstates a checkpointed merge file: the entries are adopted as-is
     /// (their page runs already exist in the backing file) and the total
-    /// page count is recomputed from them.
+    /// page count and high-water marks are recomputed from them. The sweep
+    /// record starts empty.
     pub fn restore(
         combination: DatasetSet,
         file: FileId,
@@ -137,12 +199,18 @@ impl MergeFile {
         let entries: HashMap<PartitionKey, MergeEntry> =
             entries.into_iter().map(|e| (e.key, e)).collect();
         let total_pages = entries.values().map(|e| e.pages()).sum();
+        let mut high_water = HighWater::new(combination);
+        for entry in entries.values() {
+            high_water.add(entry);
+        }
         MergeFile {
             combination,
             file,
             entries,
+            high_water,
             total_pages,
             last_used: AtomicU64::new(last_used),
+            swept_at: None,
         }
     }
 
@@ -179,20 +247,47 @@ impl MergeFile {
         self.entries.get(key)
     }
 
-    /// The keys of every merged partition (unordered).
+    /// The keys of every merged partition, in key order.
     pub fn keys(&self) -> Vec<PartitionKey> {
-        self.entries.keys().copied().collect()
+        let mut keys: Vec<PartitionKey> = self.entries.keys().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// The ingest sequence the file is synced to for `dataset`: the minimum
-    /// over all entries, i.e. the file's per-dataset high-water mark. A file
-    /// without entries is vacuously synced (`u64::MAX`).
+    /// over all entries, i.e. the file's per-dataset high-water mark, read
+    /// off the maintained multiset. A file without entries is vacuously
+    /// synced (`u64::MAX`); a dataset outside the combination has no runs
+    /// (0).
     pub fn synced_seq(&self, dataset: DatasetId) -> u64 {
+        if self.entries.is_empty() {
+            return u64::MAX;
+        }
+        self.high_water.min(dataset).unwrap_or(0)
+    }
+
+    /// The O(entries) definition [`MergeFile::synced_seq`] maintains: the
+    /// oracle the model tests compare against.
+    #[cfg(test)]
+    fn synced_seq_scan(&self, dataset: DatasetId) -> u64 {
         self.entries
             .values()
             .map(|e| e.synced_seq(dataset))
             .min()
             .unwrap_or(u64::MAX)
+    }
+
+    /// The summed layout version at which the Merger last swept every
+    /// retrieved key of the combination into this file, if it has since the
+    /// file was created or reopened.
+    pub fn swept_at(&self) -> Option<u64> {
+        self.swept_at
+    }
+
+    /// Records a completed full sweep at the summed layout version read
+    /// before it started.
+    pub(crate) fn record_sweep(&mut self, layout_version: u64) {
+        self.swept_at = Some(layout_version);
     }
 
     /// Whether the file is stale for `dataset` given the dataset's live
@@ -243,6 +338,7 @@ impl MergeFile {
         }
         let entry = MergeEntry { key, runs };
         self.total_pages += entry.pages();
+        self.high_water.add(&entry);
         self.entries.insert(key, entry);
         Ok(true)
     }
@@ -270,6 +366,7 @@ impl MergeFile {
         if objects.is_empty() {
             // Nothing landed in this region: advance the recorded sequence
             // without touching the file.
+            self.high_water.remove(entry);
             if let Some(run) = entry
                 .runs
                 .iter_mut()
@@ -278,6 +375,7 @@ impl MergeFile {
             {
                 run.synced_seq = run.synced_seq.max(synced_seq);
             }
+            self.high_water.add(entry);
             return Ok(false);
         }
         let range = storage.append_objects(self.file, objects)?;
@@ -289,7 +387,9 @@ impl MergeFile {
             synced_seq,
         };
         self.total_pages += run.page_count;
+        self.high_water.remove(entry);
         entry.runs.push(run);
+        self.high_water.add(entry);
         Ok(true)
     }
 
@@ -460,6 +560,65 @@ mod tests {
         // A file without entries is never stale.
         let empty = MergeFile::create(&storage, combo(&[0, 1, 2]), "e").unwrap();
         assert!(!empty.is_stale_for(DatasetId(0), u64::MAX - 1));
+    }
+
+    #[test]
+    fn high_water_marks_match_the_entry_scan_oracle() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let storage = StorageManager::in_memory();
+        let ids = [1u16, 4, 6];
+        let check = |mf: &MergeFile, step: usize| {
+            for ds in [0u16, 1, 2, 4, 6, 9] {
+                assert_eq!(
+                    mf.synced_seq(DatasetId(ds)),
+                    mf.synced_seq_scan(DatasetId(ds)),
+                    "step {step}, dataset {ds}"
+                );
+                for live in [0, 3, 17, 40] {
+                    assert_eq!(
+                        mf.is_stale_for(DatasetId(ds), live),
+                        mf.synced_seq_scan(DatasetId(ds)) < live
+                    );
+                }
+            }
+        };
+        for seed in 0..8u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut mf = MergeFile::create(&storage, combo(&ids), "m").unwrap();
+            check(&mf, 0);
+            for step in 1..80 {
+                let k = key(rng.gen_range(0..12u32));
+                match rng.gen_range(0..10u32) {
+                    0..=3 => {
+                        // Parts may omit a dataset (its entry seq is then 0).
+                        let mut parts: Vec<MergeSource> = Vec::new();
+                        for &d in &ids {
+                            if rng.gen_range(0..5u32) > 0 {
+                                parts.push(MergeSource {
+                                    synced_seq: rng.gen_range(0..30u64),
+                                    ..objs(d, rng.gen_range(0..3u64))
+                                });
+                            }
+                        }
+                        mf.append_entry(&storage, k, &parts).unwrap();
+                    }
+                    4..=8 => {
+                        let ds = DatasetId(ids[rng.gen_range(0..ids.len())]);
+                        let tail = objs(ds.0, rng.gen_range(0..3u64)).objects;
+                        let seq = rng.gen_range(0..40u64);
+                        mf.append_repair_run(&storage, &k, ds, &tail, seq).unwrap();
+                    }
+                    _ => {
+                        let entries: Vec<MergeEntry> =
+                            mf.entries_sorted().into_iter().cloned().collect();
+                        mf = MergeFile::restore(mf.combination, mf.file_id(), entries, 0);
+                        assert_eq!(mf.swept_at(), None, "restore drops the sweep record");
+                    }
+                }
+                check(&mf, step);
+            }
+        }
     }
 
     #[test]

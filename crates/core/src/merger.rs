@@ -8,6 +8,23 @@
 //! Query Processor can route queries to the exact / superset / subset merge
 //! file (§3.2.3), and a space budget with least-recently-used eviction keeps
 //! the replicated data bounded (§3.2.4).
+//!
+//! Two pieces of derived state keep the Merger's steady-state cost
+//! proportional to what changed rather than to what it holds:
+//!
+//! * **High-water multisets.** Every merge file keeps, per dataset, the
+//!   multiset of its entries' sync sequences, so the staleness checks on
+//!   the read path and the repair's starting point read a minimum instead
+//!   of walking the entries. A repair routes the ingest tail once per entry
+//!   level and repairs entries in key order, so the runs it appends land in
+//!   the file in the same order on every run.
+//! * **Sweep version.** Every merge file records the summed layout version
+//!   of its datasets at the last full sweep of the combination's retrieved
+//!   keys ([`MergeFile::swept_at`]). While that version stands, the query
+//!   cursor's merge trigger hands [`Merger::merge_combination`] only the
+//!   keys no earlier query retrieved, or nothing at all: the keys a sweep
+//!   left out failed the same-level check, which depends only on the leaf
+//!   key sets the version tracks.
 
 use crate::config::{MergeLevelPolicy, OdysseyConfig};
 use crate::durability::{self, MetaRecord};
@@ -15,8 +32,9 @@ use crate::merge_file::{MergeFile, MergeSource};
 use crate::octree::DatasetIndex;
 use crate::partition::PartitionKey;
 use crate::stats::StatsCollector;
-use odyssey_geom::DatasetSet;
+use odyssey_geom::{DatasetSet, SpatialObject};
 use odyssey_storage::{StorageManager, StorageResult};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a query's combination relates to the merge file chosen for it.
@@ -230,10 +248,11 @@ pub struct MergeSummary {
 /// The Merger: decides when to merge and performs the copies.
 ///
 /// The engine keeps the merger behind an `RwLock`: every query routes and
-/// reads through the read lock (routing only touches atomics); merge
-/// operations and evictions take the write lock, which also makes the
-/// merge-threshold decision execute-exactly-once — a thread that loses the
-/// race re-checks the directory under the lock and finds nothing left to do.
+/// reads through the read lock (routing only touches atomics), and so does a
+/// converged query's merge trigger; merge operations, repairs and evictions
+/// take the write lock, which also makes the merge-threshold decision
+/// execute-exactly-once — a thread that loses the race re-checks the
+/// directory under the lock and finds nothing left to do.
 #[derive(Debug, Default)]
 pub struct Merger {
     directory: MergeDirectory,
@@ -345,23 +364,43 @@ impl Merger {
             // Route each tail object to every entry whose region contains its
             // center; entries at several levels may each cover the region
             // (each entry is an independent snapshot of its region, so each
-            // gets the tail). The per-entry sequence skips the prefix a
-            // deeper-synced entry already holds.
+            // gets the tail). Routing is one pass over the tail per entry
+            // level, bucketing tail positions by the containing key; the
+            // per-entry sequence then skips the prefix a deeper-synced entry
+            // already holds. Entries are repaired in key order, so the runs
+            // land in the file deterministically.
+            let keys = file.keys();
+            let mut levels: Vec<u32> = keys.iter().map(|key| key.level).collect();
+            levels.sort_unstable();
+            levels.dedup();
+            let mut routed: HashMap<PartitionKey, Vec<usize>> = HashMap::new();
+            for level in levels {
+                for (pos, o) in tail.iter().enumerate() {
+                    routed
+                        .entry(PartitionKey::containing(
+                            &config.bounds,
+                            k,
+                            level,
+                            o.center(),
+                        ))
+                        .or_default()
+                        .push(pos);
+                }
+            }
             let mut repaired_any = false;
-            for key in file.keys() {
+            for key in keys {
                 let entry_synced = file
                     .entry(&key)
                     .map(|e| e.synced_seq(dataset_id))
                     .unwrap_or(0);
                 let from = entry_synced.saturating_sub(synced) as usize;
-                let missing: Vec<_> = tail
+                let positions = routed.get(&key).map(Vec::as_slice).unwrap_or_default();
+                let missing: Vec<SpatialObject> = positions
+                    [positions.partition_point(|&pos| pos < from)..]
                     .iter()
-                    .skip(from)
-                    .filter(|o| {
-                        PartitionKey::containing(&config.bounds, k, key.level, o.center()) == key
-                    })
-                    .copied()
+                    .map(|&pos| tail[pos])
                     .collect();
+                // The cost model charges the tail suffix each entry examines.
                 storage.note_objects_scanned(tail.len().saturating_sub(from) as u64);
                 let appended =
                     file.append_repair_run(storage, &key, dataset_id, &missing, live_seq)?;

@@ -36,7 +36,7 @@ use odyssey_storage::{
     append_to_raw_dataset, pages_needed, FileId, RawDataset, StorageManager, StorageResult,
     OBJECTS_PER_PAGE,
 };
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Result of preparing one dataset for a query: which partitions intersect,
@@ -211,13 +211,143 @@ pub struct IngestStats {
     pub partitions_pending_split: usize,
 }
 
+/// The leaf partitions of one dataset plus the key indexes that turn every
+/// by-key question — "which slot holds this key", "is anything below it",
+/// "which leaf covers it" — into O(levels) hash probes instead of a table
+/// scan.
+///
+/// The leaves dereference as a slice in *slot order*, the order every table
+/// scan, snapshot and log record sees. Structural changes go through
+/// [`PartitionTable::push`] and [`PartitionTable::swap_remove`] only, so the
+/// indexes cannot drift from the leaves; [`PartitionTable::set`] rewrites a
+/// leaf's runs and counts in place but never its key.
+#[derive(Debug, Default)]
+struct PartitionTable {
+    leaves: Vec<Partition>,
+    /// Leaf key → slot in `leaves`.
+    slots: HashMap<PartitionKey, usize>,
+    /// Interior keys: every key with at least one leaf strictly below it
+    /// (a region refined away), with the number of such leaves.
+    interior: HashMap<PartitionKey, usize>,
+}
+
+impl std::ops::Deref for PartitionTable {
+    type Target = [Partition];
+
+    fn deref(&self) -> &[Partition] {
+        &self.leaves
+    }
+}
+
+impl PartitionTable {
+    /// A table over `leaves`, kept in the given slot order.
+    fn new(k: usize, leaves: impl IntoIterator<Item = Partition>) -> Self {
+        let mut table = PartitionTable::default();
+        for p in leaves {
+            table.push(k, p);
+        }
+        table
+    }
+
+    /// Appends a leaf in the last slot and returns that slot.
+    fn push(&mut self, k: usize, p: Partition) -> usize {
+        let slot = self.leaves.len();
+        self.slots.insert(p.key, slot);
+        for level in 1..p.key.level {
+            *self.interior.entry(p.key.ancestor(k, level)).or_default() += 1;
+        }
+        self.leaves.push(p);
+        slot
+    }
+
+    /// Removes the leaf at `slot`; the last leaf moves into its place.
+    fn swap_remove(&mut self, k: usize, slot: usize) -> Partition {
+        let p = self.leaves.swap_remove(slot);
+        self.slots.remove(&p.key);
+        if let Some(moved) = self.leaves.get(slot) {
+            self.slots.insert(moved.key, slot);
+        }
+        for level in 1..p.key.level {
+            let ancestor = p.key.ancestor(k, level);
+            if let Some(n) = self.interior.get_mut(&ancestor) {
+                *n -= 1;
+                if *n == 0 {
+                    self.interior.remove(&ancestor);
+                }
+            }
+        }
+        p
+    }
+
+    /// Replaces the leaf at `slot` with an updated copy of itself.
+    fn set(&mut self, slot: usize, p: Partition) {
+        debug_assert_eq!(self.leaves[slot].key, p.key, "set never changes a key");
+        self.leaves[slot] = p;
+    }
+
+    fn slot(&self, key: &PartitionKey) -> Option<usize> {
+        self.slots.get(key).copied()
+    }
+
+    fn get(&self, key: &PartitionKey) -> Option<&Partition> {
+        self.slot(key).map(|slot| &self.leaves[slot])
+    }
+
+    /// Whether some leaf lies strictly below `key`.
+    fn is_interior(&self, key: &PartitionKey) -> bool {
+        self.interior.contains_key(key)
+    }
+
+    /// The leaves directly below `key`, in the (z, y, x) child order
+    /// refinement lays them out in.
+    fn children(&self, k: usize, key: PartitionKey) -> impl Iterator<Item = &Partition> + '_ {
+        let k32 = k as u32;
+        (0..k32 * k32 * k32)
+            .filter_map(move |i| self.get(&key.child(k, i % k32, i / k32 % k32, i / (k32 * k32))))
+    }
+
+    /// The coarser leaf whose region contains `key`'s, if any.
+    fn ancestor_leaf(&self, k: usize, key: &PartitionKey) -> Option<&Partition> {
+        (1..key.level).find_map(|level| self.get(&key.ancestor(k, level)))
+    }
+
+    /// The slot of the leaf containing point `c`: walk down the levels
+    /// while the containing cell is interior.
+    fn leaf_containing(&self, bounds: &Aabb, k: usize, c: Vec3) -> Option<usize> {
+        let mut level = 1;
+        loop {
+            let key = PartitionKey::containing(bounds, k, level, c);
+            if let Some(slot) = self.slot(&key) {
+                return Some(slot);
+            }
+            if !self.is_interior(&key) {
+                return None;
+            }
+            level += 1;
+        }
+    }
+
+    /// How the leaves cover the region `key` (see [`RegionCoverage`]).
+    fn coverage(&self, k: usize, key: &PartitionKey) -> RegionCoverage {
+        if self.slots.contains_key(key) {
+            RegionCoverage::Exact
+        } else if self.is_interior(key) {
+            RegionCoverage::Finer
+        } else if self.ancestor_leaf(k, key).is_some() {
+            RegionCoverage::Coarser
+        } else {
+            RegionCoverage::Hole
+        }
+    }
+}
+
 /// The mutable state of one dataset's index, guarded by the per-dataset lock.
 #[derive(Debug)]
 struct IndexState {
     /// Partition file; created lazily on the dataset's first query.
     file: Option<FileId>,
-    /// Current leaf partitions (unordered).
-    partitions: Vec<Partition>,
+    /// Current leaf partitions, keyed.
+    partitions: PartitionTable,
     max_extent: Vec3,
     /// Every object accepted through [`DatasetIndex::ingest`], in arrival
     /// order. The log position doubles as the ingest sequence number that
@@ -236,6 +366,9 @@ pub struct DatasetIndex {
     raw: Shared<RawDataset>,
     state: Shared<IndexState>,
     total_refinements: AtomicU64,
+    /// Bumped under the state write lock whenever the leaf key set changes
+    /// (see [`DatasetIndex::layout_version`]).
+    layout_version: AtomicU64,
     /// Mirror of `ingest_log.len()`, readable without the state lock (used by
     /// the planner's staleness estimates; exact values are read under the
     /// state lock).
@@ -260,12 +393,13 @@ impl DatasetIndex {
                 LockClass::DatasetState,
                 IndexState {
                     file: None,
-                    partitions: Vec::new(),
+                    partitions: PartitionTable::default(),
                     max_extent: Vec3::ZERO,
                     ingest_log: Vec::new(),
                 },
             ),
             total_refinements: AtomicU64::new(0),
+            layout_version: AtomicU64::new(0),
             ingested: AtomicU64::new(0),
         }
     }
@@ -290,16 +424,16 @@ impl DatasetIndex {
                 LockClass::DatasetState,
                 IndexState {
                     file: snapshot.file,
-                    partitions: snapshot
-                        .partitions
-                        .iter()
-                        .map(|m| m.restore(config))
-                        .collect(),
+                    partitions: PartitionTable::new(
+                        config.splits_per_dimension(),
+                        snapshot.partitions.iter().map(|m| m.restore(config)),
+                    ),
                     max_extent: snapshot.max_extent,
                     ingest_log,
                 },
             ),
             total_refinements: AtomicU64::new(snapshot.total_refinements),
+            layout_version: AtomicU64::new(0),
         }
     }
 
@@ -355,6 +489,20 @@ impl DatasetIndex {
     /// to per dataset; a file whose recorded sequence is older is *stale*.
     pub fn ingest_seq(&self) -> u64 {
         self.ingested.load(Ordering::Acquire)
+    }
+
+    /// The layout version: a counter bumped under the state write lock at
+    /// every change of the leaf key set — first touch, hole creation,
+    /// refinement — and at every compaction commit. Merge-level checks
+    /// depend on the leaf key sets only, so while the summed version of a
+    /// combination's datasets stands still the Merger's verdicts do too.
+    /// Derived state: a restored index starts again at 0.
+    pub fn layout_version(&self) -> u64 {
+        self.layout_version.load(Ordering::Acquire)
+    }
+
+    fn bump_layout_version(&self) {
+        self.layout_version.fetch_add(1, Ordering::Release);
     }
 
     /// The dataset's partition file, once first-touch partitioning created
@@ -471,11 +619,7 @@ impl DatasetIndex {
         // copy (ingest overflow rewrite, refinement): their new-file pages
         // are orphans, and the partition is re-copied below.
         job.copied.retain(|(meta, source)| {
-            let live = state
-                .partitions
-                .iter()
-                .find(|p| p.key == source.key)
-                .map(PartitionMeta::of);
+            let live = state.partitions.get(&source.key).map(PartitionMeta::of);
             if live == Some(*source) {
                 true
             } else {
@@ -534,7 +678,7 @@ impl DatasetIndex {
         // would leave the live table pointing at new-file offsets while
         // `state.file` still names the old file — silently wrong reads from
         // then on.
-        let mut staged = state.partitions.clone();
+        let mut staged = state.partitions.to_vec();
         for slot in staged.iter_mut() {
             let (meta, _) = job
                 .copied
@@ -557,8 +701,11 @@ impl DatasetIndex {
         };
         storage.sync_file(job.new_file)?; // data before its record, durably
         durability::log(storage, record)?;
-        state.partitions = staged;
+        for (slot, partition) in staged.into_iter().enumerate() {
+            state.partitions.set(slot, partition);
+        }
         state.file = Some(job.new_file);
+        self.bump_layout_version();
         let pages_reclaimed = storage.delete_file(job.old_file)?;
         // Re-copied partitions orphaned their first copy inside the new
         // file; the dead counter becomes exact at the commit.
@@ -618,7 +765,7 @@ impl DatasetIndex {
 
     /// A snapshot of the current leaf partitions (unordered).
     pub fn partitions(&self) -> Vec<Partition> {
-        self.state.read().partitions.clone()
+        self.state.read().partitions.to_vec()
     }
 
     /// Total number of refinement operations performed so far.
@@ -628,12 +775,7 @@ impl DatasetIndex {
 
     /// Looks up a leaf partition by key.
     pub fn partition(&self, key: &PartitionKey) -> Option<Partition> {
-        self.state
-            .read()
-            .partitions
-            .iter()
-            .find(|p| p.key == *key)
-            .copied()
+        self.state.read().partitions.get(key).copied()
     }
 
     /// The extended probe range for a query against this dataset
@@ -686,8 +828,9 @@ impl DatasetIndex {
             }
         }
         state.file = Some(file);
-        state.partitions = partitions;
+        state.partitions = PartitionTable::new(k, partitions);
         state.max_extent = max_extent;
+        self.bump_layout_version();
         // Log the first-touch result while the write lock is held, so no
         // later record can reference partitions the WAL does not know yet.
         let record = MetaRecord::InitDataset {
@@ -763,14 +906,14 @@ impl DatasetIndex {
 
         // Refine qualifying partitions (one level per query, as in §3.1.1),
         // answering the query from the data read during refinement.
+        let k = config.splits_per_dimension();
         for key in keys {
-            let Some(idx) = state.partitions.iter().position(|p| p.key == key) else {
+            let Some(idx) = state.partitions.slot(&key) else {
                 continue;
             };
             let partition = state.partitions[idx];
             if self.should_refine(config, &partition, query_volume) {
-                let objects = Self::refine(state, storage, config, idx, self.dataset)?;
-                self.total_refinements.fetch_add(1, Ordering::Relaxed);
+                let objects = self.refine(state, storage, config, idx)?;
                 out.refined += 1;
                 // The refinement already read every object of the old
                 // partition; answer from it directly and record the child
@@ -778,10 +921,11 @@ impl DatasetIndex {
                 out.collected
                     .extend(objects.iter().filter(|o| query.matches(o)).copied());
                 storage.note_objects_scanned(objects.len() as u64);
-                for child in state.partitions.iter().filter(|p| {
-                    p.key.parent(config.splits_per_dimension()) == Some(key)
-                        && p.bounds.intersects(&extended)
-                }) {
+                for child in state
+                    .partitions
+                    .children(k, key)
+                    .filter(|p| p.bounds.intersects(&extended))
+                {
                     out.retrieved_keys.push(child.key);
                 }
             } else {
@@ -796,7 +940,7 @@ impl DatasetIndex {
             let file = state.file.expect("initialized"); // analyzer: allow(first_touch initialized the file above)
             let mut collected_from_pending = Vec::new();
             for key in &out.pending_keys {
-                if let Some(p) = state.partitions.iter().find(|p| p.key == *key) {
+                if let Some(p) = state.partitions.get(key) {
                     if p.object_count > 0 {
                         let objs = Self::read_runs(storage, file, p)?;
                         collected_from_pending
@@ -882,34 +1026,16 @@ impl DatasetIndex {
         stats.objects_ingested = objects.len();
 
         if let Some(file) = state.file {
-            // Route each object to its leaf; group per partition so every
-            // overflow run is rewritten at most once per batch. Routing uses
-            // a per-batch key → slot map built once over the table, so a
-            // batch costs O(partitions + objects · levels) hash lookups
-            // rather than a table scan per object.
+            // Route each object to its leaf through the keyed table (one
+            // probe per level walked); group per partition so every
+            // overflow run is rewritten at most once per batch.
             let k = config.splits_per_dimension();
-            let mut key_index: std::collections::HashMap<PartitionKey, usize> = state
-                .partitions
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.key, i))
-                .collect();
-            let mut max_level = state
-                .partitions
-                .iter()
-                .map(|p| p.key.level)
-                .max()
-                .unwrap_or(1);
             let mut groups: Vec<(usize, Vec<SpatialObject>)> = Vec::new();
             let mut created_keys: Vec<PartitionKey> = Vec::new();
             for obj in objects {
                 state.max_extent = state.max_extent.max(obj.extent());
                 let center = obj.center();
-                let found = (1..=max_level).find_map(|level| {
-                    key_index
-                        .get(&PartitionKey::containing(&config.bounds, k, level, center))
-                        .copied()
-                });
+                let found = state.partitions.leaf_containing(&config.bounds, k, center);
                 let idx = match found {
                     Some(idx) => idx,
                     None => {
@@ -917,17 +1043,13 @@ impl DatasetIndex {
                         // refinement produced no objects there). Materialize
                         // an empty leaf at the hole's level.
                         let key = Self::hole_key(state, config, k, center);
-                        state.partitions.push(Partition::from_main_run(
-                            key,
-                            key.bounds(&config.bounds, k),
-                            0..0,
-                            0,
-                        ));
+                        let idx = state.partitions.push(
+                            k,
+                            Partition::from_main_run(key, key.bounds(&config.bounds, k), 0..0, 0),
+                        );
+                        self.bump_layout_version();
                         stats.partitions_created += 1;
                         created_keys.push(key);
-                        let idx = state.partitions.len() - 1;
-                        key_index.insert(key, idx);
-                        max_level = max_level.max(key.level);
                         idx
                     }
                 };
@@ -971,10 +1093,11 @@ impl DatasetIndex {
                     storage.note_dead_pages(file, partition.overflow_page_count);
                     storage.append_objects(file, &overflow)?
                 };
-                let p = &mut state.partitions[idx];
+                let mut p = partition;
                 p.overflow_page_start = range.start;
                 p.overflow_page_count = range.end - range.start;
                 p.object_count += arrivals.len() as u64;
+                state.partitions.set(idx, p);
                 updated_keys.push(p.key);
                 if config.ingest_split_objects > 0
                     && p.object_count >= config.ingest_split_objects
@@ -989,8 +1112,7 @@ impl DatasetIndex {
             let meta_of = |key: &PartitionKey| {
                 state
                     .partitions
-                    .iter()
-                    .find(|p| p.key == *key)
+                    .get(key)
                     .map(PartitionMeta::of)
                     .expect("logged partitions exist") // analyzer: allow(replayed keys come from this dataset's log)
             };
@@ -1010,9 +1132,8 @@ impl DatasetIndex {
                 stats.partitions_pending_split = split_candidates.len();
             } else {
                 for key in split_candidates {
-                    if let Some(idx) = state.partitions.iter().position(|p| p.key == key) {
-                        Self::refine(state, storage, config, idx, self.dataset)?;
-                        self.total_refinements.fetch_add(1, Ordering::Relaxed);
+                    if let Some(idx) = state.partitions.slot(&key) {
+                        self.refine(state, storage, config, idx)?;
                         stats.partitions_split += 1;
                     }
                 }
@@ -1067,8 +1188,7 @@ impl DatasetIndex {
             p.object_count >= config.ingest_split_objects
                 && p.key.level < config.max_refinement_level
         }) {
-            Self::refine(state, storage, config, idx, self.dataset)?;
-            self.total_refinements.fetch_add(1, Ordering::Relaxed);
+            self.refine(state, storage, config, idx)?;
             splits += 1;
         }
         Ok(splits)
@@ -1078,18 +1198,14 @@ impl DatasetIndex {
     /// below the deepest refinement that covers the center's region (level 1
     /// when not even the root cell exists).
     fn hole_key(state: &IndexState, config: &OdysseyConfig, k: usize, c: Vec3) -> PartitionKey {
-        // Find the deepest level at which some existing leaf is a descendant
-        // of the center's cell: the refinement reached below that cell, so
-        // the hole sits one level further down. With no related leaf at all,
-        // the hole is the level-1 root cell itself.
+        // Find the deepest level at which the center's cell is interior
+        // (some existing leaf lies below it): the refinement reached below
+        // that cell, so the hole sits one level further down. With no
+        // related leaf at all, the hole is the level-1 root cell itself.
         let mut hole = PartitionKey::containing(&config.bounds, k, 1, c);
         for level in 1..config.max_refinement_level {
             let key = PartitionKey::containing(&config.bounds, k, level, c);
-            let refined_below = state
-                .partitions
-                .iter()
-                .any(|p| p.key.level > level && p.key.ancestor(k, level) == key);
-            if refined_below {
+            if state.partitions.is_interior(&key) {
                 hole = PartitionKey::containing(&config.bounds, k, level + 1, c);
             } else {
                 break;
@@ -1126,11 +1242,11 @@ impl DatasetIndex {
     /// can answer the current query from them without another read). Runs
     /// under the dataset's write lock.
     fn refine(
+        &self,
         state: &mut IndexState,
         storage: &StorageManager,
         config: &OdysseyConfig,
         idx: usize,
-        dataset: DatasetId,
     ) -> StorageResult<Vec<SpatialObject>> {
         let file = state.file.expect("refine requires an initialized dataset"); // analyzer: allow(refine runs only on initialized datasets)
         let parent = state.partitions[idx];
@@ -1214,15 +1330,19 @@ impl DatasetIndex {
         };
         storage.note_dead_pages(file, dead);
         let record = MetaRecord::Refine {
-            dataset,
+            dataset: self.dataset,
             parent: parent.key,
             children: children.iter().map(PartitionMeta::of).collect(),
             file_len: storage.num_pages(file)?,
         };
-        state.partitions.swap_remove(idx);
-        state.partitions.extend(children);
+        state.partitions.swap_remove(k, idx);
+        for child in children {
+            state.partitions.push(k, child);
+        }
+        self.bump_layout_version();
         storage.sync_file(file)?; // data before its record, durably
         durability::log(storage, record)?;
+        self.total_refinements.fetch_add(1, Ordering::Relaxed);
         Ok(objects)
     }
 
@@ -1235,7 +1355,7 @@ impl DatasetIndex {
         key: &PartitionKey,
     ) -> StorageResult<Vec<SpatialObject>> {
         let state = self.state.read();
-        let Some(partition) = state.partitions.iter().find(|p| p.key == *key) else {
+        let Some(partition) = state.partitions.get(key) else {
             return Ok(Vec::new());
         };
         if partition.object_count == 0 {
@@ -1292,40 +1412,36 @@ impl DatasetIndex {
             return Ok(None);
         };
         // Exact leaf.
-        if let Some(p) = state.partitions.iter().find(|p| p.key == *key) {
+        if let Some(p) = state.partitions.get(key) {
             if p.object_count == 0 {
                 return Ok(Some((Vec::new(), seq)));
             }
             return Self::read_runs(storage, file, p).map(|objs| Some((objs, seq)));
         }
         let k = config.splits_per_dimension();
-        let region = key.bounds(&config.bounds, k);
-        // Descendants: leaves at deeper levels whose bounds lie inside the
-        // region. The scan over partition MBRs is CPU work.
+        // The cost model charges a table scan for every non-exact region,
+        // as it always has.
         storage.note_objects_scanned(state.partitions.len() as u64);
-        let mut found_descendant = false;
-        let mut out = Vec::new();
-        for p in state
-            .partitions
-            .iter()
-            .filter(|p| p.key.level > key.level && region.contains(&p.bounds))
-        {
-            found_descendant = true;
-            if p.object_count > 0 {
-                Self::read_runs_into(storage, file, p, &mut out)?;
+        // Descendants: the union of the leaves below the region, in table
+        // order. The rare arm that still scans the table.
+        if state.partitions.is_interior(key) {
+            let mut out = Vec::new();
+            for p in state
+                .partitions
+                .iter()
+                .filter(|p| p.key.level > key.level && p.key.ancestor(k, key.level) == *key)
+            {
+                if p.object_count > 0 {
+                    Self::read_runs_into(storage, file, p, &mut out)?;
+                }
             }
-        }
-        if found_descendant {
             return Ok(Some((out, seq)));
         }
-        // Coarser ancestor: a leaf whose bounds contain the region; filter
-        // its objects down to the region (centers only, matching assignment
+        // Coarser ancestor: the leaf containing the region; filter its
+        // objects down to the region (centers only, matching assignment
         // rules).
-        if let Some(p) = state
-            .partitions
-            .iter()
-            .find(|p| p.key.level < key.level && p.bounds.contains(&region))
-        {
+        let region = key.bounds(&config.bounds, k);
+        if let Some(p) = state.partitions.ancestor_leaf(k, key) {
             if p.object_count == 0 {
                 return Ok(Some((Vec::new(), seq)));
             }
@@ -1354,23 +1470,9 @@ impl DatasetIndex {
         if state.file.is_none() {
             return RegionCoverage::Uninitialized;
         }
-        let k = config.splits_per_dimension();
-        let region = key.bounds(&config.bounds, k);
-        let mut coverage = RegionCoverage::Hole;
-        for p in state.partitions.iter() {
-            if p.key == *key {
-                return RegionCoverage::Exact;
-            }
-            if p.key.level > key.level && region.contains(&p.bounds) {
-                coverage = RegionCoverage::Finer;
-            } else if p.key.level < key.level
-                && p.bounds.contains(&region)
-                && coverage == RegionCoverage::Hole
-            {
-                coverage = RegionCoverage::Coarser;
-            }
-        }
-        coverage
+        state
+            .partitions
+            .coverage(config.splits_per_dimension(), key)
     }
 
     /// Best-first k-nearest-neighbour traversal: visits leaf partitions in
@@ -1542,6 +1644,274 @@ mod tests {
             result.extend(objs.into_iter().filter(|o| q.matches(o)));
         }
         result
+    }
+
+    /// Linear-scan oracle of [`DatasetIndex::partition`].
+    fn partition_scan(index: &DatasetIndex, key: &PartitionKey) -> Option<Partition> {
+        index
+            .state
+            .read()
+            .partitions
+            .iter()
+            .find(|p| p.key == *key)
+            .copied()
+    }
+
+    /// Linear-scan oracle of [`DatasetIndex::region_coverage`]: geometric
+    /// containment over the whole table.
+    fn coverage_scan(
+        index: &DatasetIndex,
+        config: &OdysseyConfig,
+        key: &PartitionKey,
+    ) -> RegionCoverage {
+        let state = index.state.read();
+        if state.file.is_none() {
+            return RegionCoverage::Uninitialized;
+        }
+        let region = key.bounds(&config.bounds, config.splits_per_dimension());
+        let mut coverage = RegionCoverage::Hole;
+        for p in state.partitions.iter() {
+            if p.key == *key {
+                return RegionCoverage::Exact;
+            }
+            if p.key.level > key.level && region.contains(&p.bounds) {
+                coverage = RegionCoverage::Finer;
+            } else if p.key.level < key.level
+                && p.bounds.contains(&region)
+                && coverage == RegionCoverage::Hole
+            {
+                coverage = RegionCoverage::Coarser;
+            }
+        }
+        coverage
+    }
+
+    /// Linear-scan oracle of [`DatasetIndex::read_region_versioned`].
+    fn read_region_scan(
+        index: &DatasetIndex,
+        storage: &StorageManager,
+        config: &OdysseyConfig,
+        key: &PartitionKey,
+    ) -> Option<(Vec<SpatialObject>, u64)> {
+        let state = index.state.read();
+        let seq = state.ingest_log.len() as u64;
+        let file = state.file?;
+        let read = |p: &Partition| DatasetIndex::read_runs(storage, file, p).unwrap();
+        if let Some(p) = state.partitions.iter().find(|p| p.key == *key) {
+            return Some((read(p), seq));
+        }
+        let region = key.bounds(&config.bounds, config.splits_per_dimension());
+        let below: Vec<&Partition> = state
+            .partitions
+            .iter()
+            .filter(|p| p.key.level > key.level && region.contains(&p.bounds))
+            .collect();
+        if !below.is_empty() {
+            return Some((below.into_iter().flat_map(read).collect(), seq));
+        }
+        if let Some(p) = state
+            .partitions
+            .iter()
+            .find(|p| p.key.level < key.level && p.bounds.contains(&region))
+        {
+            let objects = read(p)
+                .into_iter()
+                .filter(|o| {
+                    region.contains_point_half_open(o.center()) || region.contains_point(o.center())
+                })
+                .collect();
+            return Some((objects, seq));
+        }
+        Some((Vec::new(), seq))
+    }
+
+    /// Asserts that the keyed answers equal the linear-scan oracles for a
+    /// probe set around the current leaves, and that the table's indexes
+    /// equal ones rebuilt from scratch.
+    fn assert_keyed_matches_scan(
+        index: &DatasetIndex,
+        storage: &StorageManager,
+        config: &OdysseyConfig,
+        rng: &mut ChaCha8Rng,
+        step: &str,
+    ) {
+        let k = config.splits_per_dimension();
+        let leaves = index.partitions();
+        {
+            let state = index.state.read();
+            let rebuilt = PartitionTable::new(k, leaves.iter().copied());
+            assert_eq!(state.partitions.slots, rebuilt.slots, "{step}: slot index");
+            assert_eq!(
+                state.partitions.interior, rebuilt.interior,
+                "{step}: interior keys"
+            );
+        }
+        let mut probes: Vec<PartitionKey> = Vec::new();
+        for p in leaves.iter().take(24) {
+            probes.push(p.key);
+            probes.extend(p.key.parent(k));
+            probes.push(p.key.child(k, 0, 1 % k as u32, 0));
+        }
+        for _ in 0..24 {
+            let level = rng.gen_range(1..5u32);
+            let c = Vec3::new(
+                rng.gen_range(0.0..100.0),
+                rng.gen_range(0.0..100.0),
+                rng.gen_range(0.0..100.0),
+            );
+            probes.push(PartitionKey::containing(&config.bounds, k, level, c));
+        }
+        for key in &probes {
+            assert_eq!(
+                index.partition(key),
+                partition_scan(index, key),
+                "{step}: partition {key:?}"
+            );
+            assert_eq!(
+                index.region_coverage(config, key),
+                coverage_scan(index, config, key),
+                "{step}: coverage {key:?}"
+            );
+            let ids = |r: Option<(Vec<SpatialObject>, u64)>| {
+                r.map(|(objs, seq)| (objs.iter().map(|o| o.id).collect::<Vec<_>>(), seq))
+            };
+            assert_eq!(
+                ids(index.read_region_versioned(storage, config, key).unwrap()),
+                ids(read_region_scan(index, storage, config, key)),
+                "{step}: read_region {key:?}"
+            );
+        }
+    }
+
+    fn clustered_objects(n: u64, first_id: u64, rng: &mut ChaCha8Rng) -> Vec<SpatialObject> {
+        let centers = [
+            Vec3::splat(12.0),
+            Vec3::new(70.0, 30.0, 60.0),
+            Vec3::splat(88.0),
+        ];
+        (0..n)
+            .map(|i| {
+                let c = centers[rng.gen_range(0..centers.len())]
+                    + Vec3::new(
+                        rng.gen_range(-9.0..9.0),
+                        rng.gen_range(-9.0..9.0),
+                        rng.gen_range(-9.0..9.0),
+                    );
+                SpatialObject::new(
+                    ObjectId(first_id + i),
+                    DatasetId(0),
+                    Aabb::from_center_extent(c, Vec3::splat(rng.gen_range(0.1..0.5))),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_lookups_match_the_linear_scan_oracle() {
+        for (seed, ppl, min_objects) in [(1u64, 8, 0usize), (2, 8, 4), (3, 64, 0), (4, 64, 2)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let storage = StorageManager::in_memory();
+            let seed_objects = clustered_objects(1500, 0, &mut rng);
+            let raw = write_raw_dataset(&storage, DatasetId(0), &seed_objects).unwrap();
+            let mut index = DatasetIndex::new(raw);
+            let mut cfg = OdysseyConfig::paper(bounds())
+                .with_ingest_split_objects(60)
+                .with_compaction_dead_ratio(0.05);
+            cfg.partitions_per_level = ppl;
+            cfg.min_objects_to_refine = min_objects;
+            assert_keyed_matches_scan(&index, &storage, &cfg, &mut rng, "uninitialized");
+            let mut next_id = 1_000_000u64;
+            for step in 0..40 {
+                let op = if step == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..10u32)
+                };
+                let label = format!("seed {seed} step {step} op {op}");
+                match op {
+                    0..=3 => {
+                        let c = Vec3::new(
+                            rng.gen_range(5.0..95.0),
+                            rng.gen_range(5.0..95.0),
+                            rng.gen_range(5.0..95.0),
+                        );
+                        let q = RangeQuery::new(
+                            QueryId(step),
+                            Aabb::from_center_extent(c, Vec3::splat(rng.gen_range(0.5..8.0))),
+                            DatasetSet::single(DatasetId(0)),
+                        );
+                        run_query(&storage, &index, &cfg, &q);
+                    }
+                    4..=6 => {
+                        // Uniform arrivals: many land in holes.
+                        let arrivals: Vec<SpatialObject> = (0..rng.gen_range(1..40u64))
+                            .map(|i| {
+                                let c = Vec3::new(
+                                    rng.gen_range(1.0..99.0),
+                                    rng.gen_range(1.0..99.0),
+                                    rng.gen_range(1.0..99.0),
+                                );
+                                SpatialObject::new(
+                                    ObjectId(next_id + i),
+                                    DatasetId(0),
+                                    Aabb::from_center_extent(c, Vec3::splat(0.3)),
+                                )
+                            })
+                            .collect();
+                        next_id += 100;
+                        let defer = rng.gen_range(0..2u32) == 0;
+                        index.ingest_with(&storage, &cfg, &arrivals, defer).unwrap();
+                        if defer {
+                            index.refine_oversized(&storage, &cfg).unwrap();
+                        }
+                    }
+                    7 => {
+                        index.compact(&storage, &cfg).unwrap();
+                    }
+                    _ => {
+                        let (log, _) = index.ingest_tail(0);
+                        index = DatasetIndex::restore(&cfg, &index.snapshot(), log);
+                    }
+                }
+                assert_keyed_matches_scan(&index, &storage, &cfg, &mut rng, &label);
+            }
+            assert!(index.total_refinements() > 0, "seed {seed} never refined");
+        }
+    }
+
+    #[test]
+    fn layout_version_moves_exactly_with_the_leaf_key_set() {
+        let (storage, _, index) = setup(3000);
+        let cfg = config();
+        assert_eq!(index.layout_version(), 0);
+        index.ensure_initialized(&storage, &cfg).unwrap();
+        let v = index.layout_version();
+        assert!(v > 0, "first touch moves the version");
+        // A converged read leaves it alone.
+        let big = query(10.0, 90.0);
+        run_query(&storage, &index, &cfg, &big);
+        assert_eq!(index.layout_version(), v);
+        // Refinement moves it.
+        run_query(&storage, &index, &cfg, &query(30.0, 31.0));
+        assert!(index.total_refinements() > 0);
+        let v = index.layout_version();
+        assert!(v > 1);
+        // An ingest into existing leaves (no hole, no split) leaves it alone.
+        let leaf = index.partitions()[0];
+        let arrival = SpatialObject::new(
+            ObjectId(77_777),
+            DatasetId(0),
+            Aabb::from_center_extent(leaf.bounds.center(), Vec3::splat(0.1)),
+        );
+        let stats = index
+            .ingest(&storage, &cfg.with_ingest_split_objects(0), &[arrival])
+            .unwrap();
+        assert_eq!((stats.partitions_created, stats.partitions_split), (0, 0));
+        assert_eq!(index.layout_version(), v);
+        // A restored index starts over: the version is derived state.
+        let restored = DatasetIndex::restore(&cfg, &index.snapshot(), index.ingest_tail(0).0);
+        assert_eq!(restored.layout_version(), 0);
+        assert_eq!(restored.partitions().len(), index.partitions().len());
     }
 
     #[test]

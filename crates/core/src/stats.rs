@@ -39,11 +39,21 @@ impl StatsCollector {
     }
 
     /// Records one query for `combination` that retrieved the given
-    /// partitions.
-    pub fn record(&mut self, combination: DatasetSet, retrieved: &[PartitionKey]) {
+    /// partitions. Returns the keys that were new to the combination's
+    /// retrieved set — the only merge candidates no earlier query has put
+    /// before the Merger.
+    pub fn record(
+        &mut self,
+        combination: DatasetSet,
+        retrieved: &[PartitionKey],
+    ) -> Vec<PartitionKey> {
         let entry = self.combos.entry(combination).or_default();
         entry.count += 1;
-        entry.retrieved.extend(retrieved.iter().copied());
+        retrieved
+            .iter()
+            .copied()
+            .filter(|key| entry.retrieved.insert(*key))
+            .collect()
     }
 
     /// Number of times `combination` has been queried.
@@ -131,6 +141,19 @@ mod tests {
         assert_eq!(retrieved.len(), 3);
         assert!(retrieved.contains(&key(2, 5)));
         assert!(s.retrieved(combo(&[3])).is_none());
+    }
+
+    #[test]
+    fn record_reports_the_newly_retrieved_keys() {
+        let mut s = StatsCollector::new();
+        let c = combo(&[0, 1, 2]);
+        assert_eq!(
+            s.record(c, &[key(1, 0), key(1, 1)]),
+            vec![key(1, 0), key(1, 1)]
+        );
+        assert_eq!(s.record(c, &[key(1, 1), key(2, 5)]), vec![key(2, 5)]);
+        assert!(s.record(c, &[key(1, 0)]).is_empty());
+        assert_eq!(s.record(combo(&[0]), &[key(1, 0)]), vec![key(1, 0)]);
     }
 
     #[test]
