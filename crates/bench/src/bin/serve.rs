@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p odyssey-bench --bin serve -- \
-//!     --requests 400 --tenants 4 --window 800 --out BENCH_serve.json
+//!     --requests 400 --tenants 4 --out BENCH_serve.json
 //! ```
 //!
 //! Exits non-zero if micro-batching changes any query answer (checksum
@@ -56,7 +56,6 @@ fn main() {
              --requests N    open-loop requests (default 400)\n\
              --tenants N     simulated tenants (default 4)\n\
              --gap N         mean interarrival in virtual us (default 2000)\n\
-             --window N      batching window in virtual us (default 800)\n\
              --max-batch N   batch size cap (default 32)\n\
              --threads N     modeled worker threads (default 8)\n\
              --flood N       flooding-tenant requests (default 1200)\n\
@@ -76,7 +75,6 @@ fn main() {
         requests: args.get_usize("requests", 400),
         mean_interarrival_micros: args.get_usize("gap", 2_000) as u64,
         tenants: args.get_usize("tenants", 4) as u16,
-        window_micros: args.get_usize("window", 800) as u64,
         max_batch: args.get_usize("max-batch", 32),
         threads: args.get_usize("threads", 8),
         flood_requests: args.get_usize("flood", 1_200),
@@ -85,12 +83,11 @@ fn main() {
 
     let cmp = run_serve_bench(&cfg);
     println!(
-        "serve experiment: {} datasets x {} objects, {} requests over {} tenants, window {}us\n",
+        "serve experiment: {} datasets x {} objects, {} requests over {} tenants\n",
         cfg.dataset_spec.num_datasets,
         cfg.dataset_spec.objects_per_dataset,
         cfg.requests,
         cfg.tenants,
-        cfg.window_micros,
     );
     print_run(&cmp.batched);
     print_run(&cmp.per_request);
@@ -111,10 +108,6 @@ fn main() {
         ("experiment".into(), JsonValue::String("serve".into())),
         ("requests".into(), JsonValue::Number(cfg.requests as f64)),
         ("tenants".into(), JsonValue::Number(cfg.tenants as f64)),
-        (
-            "window_micros".into(),
-            JsonValue::Number(cfg.window_micros as f64),
-        ),
         (
             "batching_p99_speedup".into(),
             JsonValue::Number(cmp.batching_p99_speedup()),

@@ -4,11 +4,12 @@
 //! Two comparisons, each on fresh engines over the same seeded trace:
 //!
 //! * **Micro-batching on vs off** at the same offered load. The batched
-//!   run coalesces requests inside the window into one planned engine
-//!   batch; the per-request run dispatches each alone. Both runs' query
-//!   answers are checksummed — coalescing must be answer-preserving — and
-//!   the batched served-query p99 must not exceed the per-request p99
-//!   (batching amortizes queue drain, so under load it strictly helps).
+//!   run coalesces the backlog that queued while the previous batch ran
+//!   into one planned engine batch; the per-request run dispatches each
+//!   alone. Both runs' query answers are checksummed — coalescing must be
+//!   answer-preserving — and the batched served-query p99 must not exceed
+//!   the per-request p99 (batching amortizes queue drain, so under load it
+//!   strictly helps).
 //! * **Admission control on vs off** under a flooding tenant. With
 //!   admission on, the flood sheds against its own token bucket and the
 //!   innocent tenants' p99 stays at (or below) what the flood inflicted on
@@ -46,8 +47,6 @@ pub struct ServeBenchConfig {
     pub ingest_every: usize,
     /// Objects per ingest request.
     pub ingest_batch: usize,
-    /// Batching window of the batched run, virtual microseconds.
-    pub window_micros: u64,
     /// Batch size cap of the batched run.
     pub max_batch: usize,
     /// Modeled worker threads (scales the virtual makespan of a batch).
@@ -84,7 +83,6 @@ impl Default for ServeBenchConfig {
             tenants: 4,
             ingest_every: 16,
             ingest_batch: 48,
-            window_micros: 800,
             max_batch: 32,
             threads: 8,
             flood_requests: 1_200,
@@ -380,7 +378,6 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeComparison {
     let trace = build_trace(cfg, &bounds);
     let batched_cfg = ServeConfig {
         batch: BatchPolicy {
-            window_micros: cfg.window_micros,
             max_batch: cfg.max_batch,
         },
         admission: None,
@@ -465,7 +462,7 @@ mod tests {
             cmp.batched.p99_us,
             cmp.per_request.p99_us
         );
-        assert!(cmp.batched.mean_batch > 1.0, "the window must coalesce");
+        assert!(cmp.batched.mean_batch > 1.0, "the backlog must coalesce");
         assert!((cmp.per_request.mean_batch - 1.0).abs() < 1e-9);
         assert_eq!(cmp.batched.served, 120);
         assert_eq!(cmp.per_request.served, 120);

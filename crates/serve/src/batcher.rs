@@ -15,39 +15,26 @@
 
 use odyssey_core::EngineOp;
 
-/// Micro-batching knobs.
+/// Micro-batching knobs. The dispatcher never waits for a batch to fill:
+/// whatever queued while the previous batch ran is the next batch
+/// ("backlog batching"), cut at `max_batch` by [`batch_cut`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// How long the dispatcher lingers after the first pending request
-    /// arrives, letting more requests coalesce. `0` dispatches immediately.
-    pub window_micros: u64,
-    /// Hard cap on requests per engine batch (the window closes early once
-    /// this many are pending).
+    /// Hard cap on requests per engine batch.
     pub max_batch: usize,
 }
 
 impl BatchPolicy {
-    /// Per-request dispatch: no window, one request per engine call. This
-    /// is the baseline the micro-batching bench compares against.
+    /// Per-request dispatch: one request per engine call. This is the
+    /// baseline the micro-batching bench compares against.
     pub fn per_request() -> Self {
-        BatchPolicy {
-            window_micros: 0,
-            max_batch: 1,
-        }
-    }
-
-    /// Whether this policy ever coalesces more than one request.
-    pub fn coalesces(&self) -> bool {
-        self.max_batch > 1
+        BatchPolicy { max_batch: 1 }
     }
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        BatchPolicy {
-            window_micros: 500,
-            max_batch: 32,
-        }
+        BatchPolicy { max_batch: 32 }
     }
 }
 

@@ -7,7 +7,7 @@
 //! prints per-tenant latency percentiles and shed counts.
 //!
 //! ```text
-//! odyssey-serve [--requests N] [--clients N] [--port P] [--window-micros W]
+//! odyssey-serve [--requests N] [--clients N] [--port P]
 //! ```
 
 use odyssey_core::{EngineOp, OdysseyConfig, SpaceOdyssey};
@@ -48,17 +48,15 @@ fn main() {
         println!(
             "odyssey-serve: serving-tier demo over TCP loopback\n\
              \n\
-               --requests N        requests per well-behaved client (default 60)\n\
-               --clients N         well-behaved client connections (default 4)\n\
-               --port P            listen port (default 0 = ephemeral)\n\
-               --window-micros W   batching window (default 400)"
+               --requests N   requests per well-behaved client (default 60)\n\
+               --clients N    well-behaved client connections (default 4)\n\
+               --port P       listen port (default 0 = ephemeral)"
         );
         return;
     }
     let requests = args.get_usize("--requests", 60);
     let clients = args.get_usize("--clients", 4);
     let port = args.get_usize("--port", 0);
-    let window = args.get_usize("--window-micros", 400) as u64;
 
     // Engine seeded from the synthetic brain model.
     let spec = DatasetSpec::with_size(4, 3_000, 17);
@@ -76,10 +74,7 @@ fn main() {
     let engine = Arc::new(SpaceOdyssey::new(config, raws).expect("valid config"));
 
     let serve_cfg = ServeConfig {
-        batch: BatchPolicy {
-            window_micros: window,
-            max_batch: 32,
-        },
+        batch: BatchPolicy { max_batch: 32 },
         admission: Some(AdmissionConfig {
             tokens_per_sec: 800.0,
             burst_tokens: 16.0,
@@ -91,7 +86,7 @@ fn main() {
     let server = Server::start(Arc::clone(&engine), Arc::clone(&storage), serve_cfg);
     let tcp = TcpServer::start(server.handle(), ("127.0.0.1", port as u16), 8).expect("bind");
     let addr = tcp.local_addr();
-    println!("serving on {addr} (window {window}us, {clients} clients + 1 flooder)");
+    println!("serving on {addr} ({clients} clients + 1 flooder)");
 
     let bounds = model.bounds();
     let extent = bounds.extent();

@@ -6,12 +6,14 @@
 //! front of one store. This crate adds the four mechanisms that makes that
 //! share well:
 //!
-//! * **Dynamic micro-batching** ([`BatchPolicy`], [`batch_cut`]): requests
-//!   arriving within a tunable window coalesce into one planned engine
+//! * **Backlog micro-batching** ([`BatchPolicy`], [`batch_cut`]): the
+//!   dispatcher never waits for a batch to fill. The requests that queued
+//!   while the previous batch ran coalesce into the next planned engine
 //!   batch, amortizing planning and fanning the batch across the worker
-//!   pool; answers are demultiplexed per request and are checksum-equal to
-//!   per-request execution (the cut rule never reorders an ingest ahead of
-//!   an earlier query).
+//!   pool; an idle server answers a lone request at once. Answers are
+//!   demultiplexed per request and are checksum-equal to per-request
+//!   execution (the cut rule never reorders an ingest ahead of an earlier
+//!   query).
 //! * **Per-tenant admission control** ([`AdmissionController`]): token
 //!   buckets plus bounded queue slices, decided purely per tenant — a
 //!   flooding tenant sheds its own traffic with typed
@@ -26,10 +28,10 @@
 //!
 //! Two front-ends implement the same [`Frontend`] trait: the in-process
 //! [`ServeHandle`] and the framed-TCP pair [`TcpServer`]/[`TcpClient`]
-//! (no async runtime — a non-blocking poll loop and a worker pool).
-//! [`replay()`] replays open-loop traces through the identical policies in
-//! deterministic virtual time, which is what the latency benches and CI
-//! gates run on.
+//! (no async runtime and no polling — one blocking thread per connection).
+//! Nothing on a request's path sleeps on a clock. [`replay()`] replays
+//! open-loop traces through the identical policies in deterministic
+//! virtual time, which is what the latency benches and CI gates run on.
 //!
 //! [`MaintenancePump`]: odyssey_core::MaintenancePump
 

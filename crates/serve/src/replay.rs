@@ -4,14 +4,15 @@
 //! The real [`Server`](crate::Server) measures wall-clock time, which makes
 //! its latency distribution non-deterministic and meaningless on a 1-core
 //! CI runner. The replay reproduces the same decisions — admission at
-//! arrival instants, batching-window closure, the answer-preserving batch
-//! cut, deadline expiry at dispatch — against a **virtual clock**, and
-//! charges each batch its simulated I/O cost from the storage cost model
-//! (`StorageManager::seconds_since`). Worker-pool parallelism is modeled:
-//! a batch of `b` requests executed with `t` configured threads completes
-//! in `cost / min(t, b)` virtual time, which is exactly why coalescing
-//! beats per-request dispatch — a lone request can only keep one worker
-//! busy. Engine answers are computed with one real thread so results are
+//! arrival instants, backlog batching (a batch is dispatched at
+//! `max(busy_until, head arrival)` and takes what queued by then), the
+//! answer-preserving batch cut, deadline expiry at dispatch — against a
+//! **virtual clock**, and charges each batch its simulated I/O cost from
+//! the storage cost model (`StorageManager::seconds_since`). Worker-pool
+//! parallelism is modeled: a batch of `b` requests executed with `t`
+//! configured threads completes in `cost / min(t, b)` virtual time, which
+//! is exactly why coalescing beats per-request dispatch — a lone request
+//! can only keep one worker busy. Engine answers are computed with one real thread so results are
 //! bit-reproducible; the thread count only scales the virtual makespan.
 //!
 //! The same trace replayed with the same seed and configuration produces
@@ -137,15 +138,10 @@ pub fn replay(
             st.admit_arrivals_up_to(next);
             continue;
         }
+        // Backlog batching: dispatch as soon as the engine is free, taking
+        // whatever arrived by then.
         let head_arrival = requests[st.queue[0]].offset_micros;
-        let start = busy_until.max(head_arrival);
-        st.admit_arrivals_up_to(start);
-        // The window lingers only while the size cap is unmet.
-        let dispatch = if cfg.batch.window_micros == 0 || st.queue.len() >= cfg.batch.max_batch {
-            start
-        } else {
-            start + cfg.batch.window_micros
-        };
+        let dispatch = busy_until.max(head_arrival);
         st.admit_arrivals_up_to(dispatch);
         let pending: Vec<&EngineOp> = st.queue.iter().map(|&i| &requests[i].op).collect();
         let take = batch_cut(&pending, cfg.batch.max_batch);
@@ -274,17 +270,15 @@ mod tests {
     #[test]
     fn batching_coalesces_and_per_request_does_not() {
         let (engine, storage) = new_engine();
-        // All 8 requests arrive inside one 1ms window.
+        // 8 requests arrive 10us apart, faster than one batch executes, so
+        // the later ones queue behind the first and form a backlog batch.
         let reqs: Vec<ReplayRequest> = (0..8).map(|i| count_req(i * 10, 0, i as u32)).collect();
         let coalesced = replay(
             &engine,
             &storage,
             &reqs,
             &ServeConfig {
-                batch: BatchPolicy {
-                    window_micros: 1_000,
-                    max_batch: 16,
-                },
+                batch: BatchPolicy { max_batch: 16 },
                 ..ServeConfig::default()
             },
         )
@@ -315,15 +309,13 @@ mod tests {
             r.deadline_micros = Some(0); // expires immediately after arrival
         }
         let cfg = ServeConfig {
-            batch: BatchPolicy {
-                window_micros: 5_000,
-                max_batch: 64,
-            },
+            batch: BatchPolicy { max_batch: 64 },
             ..ServeConfig::default()
         };
         let fates = replay(&engine, &storage, &reqs, &cfg).expect("replay");
-        // The window pushes dispatch past every deadline except possibly the
-        // request arriving exactly at the dispatch instant.
+        // Requests arriving while an earlier batch executes queue past their
+        // zero deadline; only a request dispatched at its own arrival
+        // instant (the first) can still be served.
         let expired = fates
             .iter()
             .filter(|f| matches!(f, RequestFate::Expired))

@@ -7,11 +7,15 @@
 //!    request is admission-checked (token bucket + queue slice, see
 //!    [`AdmissionController`]) and, if admitted, appended to the pending
 //!    queue with its arrival timestamp and a fresh response slot.
-//! 2. The dispatcher thread wakes, optionally lingers for the batching
-//!    window, then cuts an answer-preserving batch ([`batch_cut`]) off the
-//!    front of the queue. Requests whose deadline passed while queued are
-//!    completed with [`ServeError::DeadlineExceeded`] *before* the engine
-//!    runs — they consume no engine time and mutate no engine state.
+//! 2. The dispatcher thread, blocked on the arrival condvar whenever the
+//!    queue is empty, cuts an answer-preserving batch ([`batch_cut`]) off
+//!    the front of the queue the moment it is free. It never waits for a
+//!    batch to fill: the requests that arrived while the previous batch ran
+//!    form the next one ("backlog batching"), so an idle server answers a
+//!    lone request at once and a loaded one coalesces its backlog. Requests
+//!    whose deadline passed while queued are completed with
+//!    [`ServeError::DeadlineExceeded`] *before* the engine runs — they
+//!    consume no engine time and mutate no engine state.
 //! 3. The surviving batch goes to the engine as one
 //!    `execute_ops_batch_admitted` call; the admit closure re-checks each
 //!    deadline between the batch's ingest and query phases, so a request
@@ -192,15 +196,6 @@ impl ServerInner {
             if q.pending.is_empty() {
                 // Only reachable when shutting down: drain is complete.
                 return;
-            }
-            // Linger for the batching window so concurrent submitters can
-            // coalesce — unless the size cap is already reached or we are
-            // draining for shutdown.
-            let window = self.cfg.batch.window_micros;
-            if window > 0 && q.pending.len() < self.cfg.batch.max_batch && !q.shutting_down {
-                drop(q);
-                std::thread::sleep(Duration::from_micros(window));
-                q = self.queue.lock();
             }
             let ops: Vec<&EngineOp> = q.pending.iter().map(|p| &p.op).collect();
             let take = batch_cut(&ops, self.cfg.batch.max_batch);
@@ -514,16 +509,18 @@ mod tests {
     fn expired_deadline_is_rejected_without_engine_work() {
         let (engine, storage) = new_engine();
         let cfg = ServeConfig {
-            // A long window guarantees the deadline passes while queued.
-            batch: BatchPolicy {
-                window_micros: 50_000,
-                max_batch: 8,
-            },
+            batch: BatchPolicy { max_batch: 8 },
             ..ServeConfig::default()
         };
         let server = Server::start(Arc::clone(&engine), storage, cfg);
+        // Wait out the deadline before submitting, so it has already
+        // passed when the request is queued.
+        let deadline = server.now_micros();
+        while server.now_micros() <= deadline {
+            std::hint::spin_loop();
+        }
         let mut req = count_all(7);
-        req.deadline_micros = Some(server.now_micros()); // already in the past
+        req.deadline_micros = Some(deadline);
         let result = server.submit(req);
         assert_eq!(result, Err(ServeError::DeadlineExceeded { tenant: 0 }));
         assert_eq!(engine.queries_executed(), 0);

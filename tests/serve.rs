@@ -91,13 +91,14 @@ fn answer_checksum(outcome: &OpOutcome) -> u64 {
 }
 
 /// Submits every `(index, query)` pair through `server` from `threads`
-/// client threads in a shuffled order and returns `index -> checksum`.
+/// client threads in a shuffled order and returns `index -> checksum`,
+/// plus the largest batch any answer reports it was served in.
 fn submit_shuffled(
     server: &Server,
     queries: &[Query],
     threads: usize,
     seed: u64,
-) -> BTreeMap<usize, u64> {
+) -> (BTreeMap<usize, u64>, u64) {
     let mut order: Vec<usize> = (0..queries.len()).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     for i in (1..order.len()).rev() {
@@ -119,7 +120,10 @@ fn submit_shuffled(
                             op: EngineOp::Query(queries[idx]),
                         })
                         .unwrap_or_else(|e| panic!("query {idx} failed: {e}"));
-                    out.push((idx, answer_checksum(&served.outcome)));
+                    let OpOutcome::Query(q) = &served.outcome else {
+                        panic!("expected a query outcome");
+                    };
+                    out.push((idx, answer_checksum(&served.outcome), q.batch_size_served));
                 }
                 out
             }));
@@ -129,7 +133,12 @@ fn submit_shuffled(
             .flat_map(|h| h.join().expect("client thread"))
             .collect::<Vec<_>>()
     });
-    results.into_iter().collect()
+    let largest_batch = results.iter().map(|r| r.2).max().unwrap_or(0);
+    let checksums = results
+        .into_iter()
+        .map(|(idx, sum, _)| (idx, sum))
+        .collect();
+    (checksums, largest_batch)
 }
 
 #[test]
@@ -137,7 +146,7 @@ fn coalesced_batches_return_per_request_answers() {
     let spec = spec();
     let qs = queries(&fresh_world(&spec).2, 96, 7);
 
-    // Reference: per-request dispatch (window 0, batch cap 1), one client.
+    // Reference: per-request dispatch (batch cap 1), one client.
     let (engine, storage, _) = fresh_world(&spec);
     let reference_server = Server::start(
         engine,
@@ -149,26 +158,24 @@ fn coalesced_batches_return_per_request_answers() {
             maintenance_interval: None,
         },
     );
-    let reference = submit_shuffled(&reference_server, &qs, 1, 11);
+    let (reference, _) = submit_shuffled(&reference_server, &qs, 1, 11);
     reference_server.stop();
 
-    // Candidate: a coalescing window, eight engine threads, eight clients
-    // racing shuffled slices of the same workload.
+    // Candidate: backlog batching, eight engine threads, eight clients
+    // racing shuffled slices of the same workload. With one dispatcher,
+    // requests queue behind every batch that runs and coalesce.
     let (engine, storage, _) = fresh_world(&spec);
     let batched_server = Server::start(
         engine,
         storage,
         ServeConfig {
-            batch: BatchPolicy {
-                window_micros: 1_500,
-                max_batch: 16,
-            },
+            batch: BatchPolicy { max_batch: 16 },
             admission: None,
             threads: 8,
             maintenance_interval: None,
         },
     );
-    let batched = submit_shuffled(&batched_server, &qs, 8, 13);
+    let (batched, largest_batch) = submit_shuffled(&batched_server, &qs, 8, 13);
     let report = batched_server.stop();
 
     assert_eq!(reference.len(), qs.len());
@@ -182,6 +189,10 @@ fn coalesced_batches_return_per_request_answers() {
     }
     assert_eq!(report.served, qs.len() as u64);
     assert_eq!(report.shed, 0);
+    assert!(
+        largest_batch > 1,
+        "no request was served in a coalesced batch, so nothing was compared"
+    );
 }
 
 #[test]
@@ -202,10 +213,7 @@ fn flood_never_sheds_innocents_and_errors_are_typed() {
         Arc::clone(&engine),
         Arc::clone(&storage),
         ServeConfig {
-            batch: BatchPolicy {
-                window_micros: 400,
-                max_batch: 32,
-            },
+            batch: BatchPolicy { max_batch: 32 },
             admission: Some(AdmissionConfig {
                 tokens_per_sec: 400.0,
                 burst_tokens: 8.0,
@@ -307,10 +315,7 @@ fn expired_deadlines_never_touch_the_engine() {
             Arc::clone(&engine),
             Arc::clone(&storage),
             ServeConfig {
-                batch: BatchPolicy {
-                    window_micros: 200,
-                    max_batch: 8,
-                },
+                batch: BatchPolicy { max_batch: 8 },
                 admission: None,
                 threads: 2,
                 maintenance_interval: None,
