@@ -10,8 +10,8 @@
 //! * static approaches pay an indexing phase first; Space Odyssey starts
 //!   answering queries immediately,
 //! * times are simulated seconds from the disk cost model over the exact page
-//!   access trace (see DESIGN.md §3 for why this substitution preserves the
-//!   paper's comparisons), with wall-clock also recorded.
+//!   access trace (see `odyssey_storage::cost` for why this substitution
+//!   preserves the paper's comparisons), with wall-clock also recorded.
 
 use odyssey_baselines::strategy::{build_approach, Approach, ApproachConfig};
 use odyssey_baselines::GridConfig;

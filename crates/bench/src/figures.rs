@@ -2,10 +2,10 @@
 //!
 //! Each function returns the rows/series the corresponding figure plots and a
 //! rendered text report; the figure binaries print the report and write the
-//! CSV next to it. The absolute numbers come from the disk cost model (see
-//! DESIGN.md §3); the *shape* — which approach wins, by roughly what factor,
-//! and where the crossovers are — is what EXPERIMENTS.md compares against the
-//! paper.
+//! CSV next to it. The absolute numbers come from the disk cost model
+//! (`odyssey_storage::cost`); the *shape* — which approach wins, by roughly
+//! what factor, and where the crossovers are — is what to compare against
+//! the paper (see the README's Benchmarks section for where they differ).
 
 use crate::experiment::{ApproachRun, ApproachSelection, ExperimentConfig, ExperimentRunner};
 use crate::report::{fmt_seconds, Table};
@@ -763,10 +763,10 @@ mod tests {
     #[test]
     fn headline_claims_have_the_papers_shape() {
         // At the miniature test scale the absolute data-to-query advantage is
-        // small (the full-scale check lives in EXPERIMENTS.md / the headline
-        // binary); here we verify the structural relations that must hold at
-        // any scale: FLAT and RTree builds cost more than Grid's, all ratios
-        // are finite and positive, and the report is well-formed.
+        // small (the full-scale numbers come from the headline binary); here
+        // we verify the structural relations that must hold at any scale:
+        // FLAT and RTree builds cost more than Grid's, all ratios are finite
+        // and positive, and the report is well-formed.
         let runner = tiny_runner();
         let (claims, report) = headline_claims(&runner, 3, 30);
         assert!(claims.flat_build_over_grid_build > 1.0);

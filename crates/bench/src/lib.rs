@@ -1,6 +1,6 @@
 //! # odyssey-bench
 //!
-//! Benchmark harness reproducing the paper's evaluation (Section 4).
+//! The paper's evaluation (Section 4), run in simulated seconds.
 //!
 //! * [`experiment`] — builds the synthetic datasets, runs each approach
 //!   (FLAT-Ain1, FLAT-1fE, RTree-Ain1, RTree-1fE, Grid-1fE, Space Odyssey,
@@ -12,37 +12,20 @@
 //!   the per-query time series (Figure 5a–c), the headline claims of the
 //!   introduction, and the parameter ablations suggested in §3.2.5,
 //! * [`report`] — table/CSV formatting shared by the binaries,
-//! * [`throughput`] — the concurrent-throughput experiments: sequential vs
-//!   N-thread batch execution against one shared engine, for Space Odyssey
-//!   and every static baseline under the same harness,
 //! * [`query_kinds`] — the mixed-kind experiment: range / point / kNN /
 //!   count queries against the planner-enabled engine (planner on vs off)
 //!   and the static baselines, with per-kind cost and plan audits,
-//! * [`ingest`] — the online-ingestion experiment: interleaved ingest/query
-//!   traces with per-phase cost, staleness-repair/bypass counts and
-//!   cross-checked result checksums,
-//! * [`recovery`] — the durability experiment: build a durable store, crash
-//!   without closing, and compare the cold-open cost against a full rebuild
-//!   (with a checkpoint-interval sweep and cross-checked checksums),
-//! * [`space`] — the space-reclamation experiment: the same churn loop on
-//!   two durable stores, online compaction on vs off, reporting each one's
-//!   space amplification with checksum-verified answer equality,
 //! * [`latency`] — the streaming/caching experiment: time-to-first-batch
 //!   vs time-to-full-result through the seeking cursors, and cold-vs-warm
-//!   query cost through the result cache, with cross-checked checksums,
-//! * [`maintenance`] — the maintenance-scheduler experiment: the same churn
-//!   loop with background maintenance on vs inline drains, reporting the
-//!   per-op p50/p99 simulated cost, write amplification and job counters
-//!   with checksum-verified answer equality,
-//! * [`serve`] — the serving-tier experiment: open-loop multi-tenant
-//!   traffic replayed in deterministic virtual time, micro-batching on vs
-//!   off (checksum-verified answer equality, p99 gate) and admission
-//!   control on vs off under a flooding tenant (isolation gate).
+//!   query cost through the result cache, with cross-checked checksums.
 //!
 //! Binaries: `figure3`, `figure4`, `figure5`, `headline`, `ablation`,
-//! `throughput`, `query_kinds`, `ingest`, `recovery`, `space`, `latency`,
-//! `maintenance`, `serve`
+//! `query_kinds`, `latency`
 //! (`cargo run -p odyssey-bench --release --bin figure4 -- --help`).
+//!
+//! Costs are simulated seconds from the disk cost model (wall-clock times
+//! are reported only as diagnostics). Wall-clock performance is measured by
+//! the separate `benchmark/` package that `BENCHMARK.json` declares.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,27 +33,13 @@
 pub mod cli;
 pub mod experiment;
 pub mod figures;
-pub mod ingest;
 pub mod latency;
-pub mod maintenance;
 pub mod query_kinds;
-pub mod recovery;
 pub mod report;
-pub mod serve;
-pub mod space;
-pub mod throughput;
 
 pub use experiment::{
     ApproachRun, ApproachSelection, ExperimentConfig, ExperimentRunner, QueryRecord,
 };
-pub use ingest::IngestRun;
 pub use latency::{run_latency, LatencyConfig, LatencyReport};
-pub use maintenance::{
-    run_maintenance_bench, MaintenanceComparison, MaintenanceConfig, MaintenanceRun,
-};
 pub use query_kinds::{KindBreakdown, PathCounts, QueryKindsRun};
-pub use recovery::{run_recovery, RecoveryConfig, RecoveryRun};
 pub use report::{format_table, write_csv, Table};
-pub use serve::{run_serve_bench, ServeBenchConfig, ServeComparison, ServeRun};
-pub use space::{run_space, SpaceComparison, SpaceConfig, SpaceRun};
-pub use throughput::ThroughputRun;

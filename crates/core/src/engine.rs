@@ -1107,19 +1107,6 @@ impl SpaceOdyssey {
             .sum()
     }
 
-    /// Ingests several batches (dataset, objects) in one call; batches are
-    /// applied in order. See [`SpaceOdyssey::ingest`].
-    pub fn ingest_batch(
-        &self,
-        storage: &StorageManager,
-        batches: &[(DatasetId, Vec<SpatialObject>)],
-    ) -> StorageResult<Vec<IngestOutcome>> {
-        batches
-            .iter()
-            .map(|(dataset, objects)| self.ingest(storage, *dataset, objects))
-            .collect()
-    }
-
     /// Executes a mixed batch of ingest and query operations, fanning out
     /// over all available cores. See
     /// [`SpaceOdyssey::execute_ops_batch_with_threads`].
@@ -1712,15 +1699,6 @@ mod tests {
             before_seq,
             "a rejected batch must leave the dataset untouched"
         );
-        // Batched form applies in order.
-        let outcomes = engine
-            .ingest_batch(
-                &storage,
-                &[(DatasetId(1), arrivals_for(1, 10)), (DatasetId(0), vec![])],
-            )
-            .unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].objects_ingested, 10);
     }
 
     fn arrivals_for(ds: u16, n: u64) -> Vec<SpatialObject> {

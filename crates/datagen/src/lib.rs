@@ -8,7 +8,7 @@
 //! and whose *dataset combinations* follow the Gray et al. heavy-hitter,
 //! self-similar, Zipf or uniform distributions. The real data is not
 //! redistributable, so this crate generates a faithful, deterministic
-//! substitute (see DESIGN.md §3):
+//! substitute:
 //!
 //! * [`brain`] — neuron-morphology generator that fills a brain volume with
 //!   spatially clustered tubular segments, one object per segment,

@@ -66,16 +66,6 @@ pub enum RequestFate {
     Expired,
 }
 
-impl RequestFate {
-    /// The end-to-end latency, for served requests.
-    pub fn e2e_micros(&self) -> Option<u64> {
-        match self {
-            RequestFate::Served { e2e_micros, .. } => Some(*e2e_micros),
-            _ => None,
-        }
-    }
-}
-
 struct ReplayState<'a> {
     requests: &'a [ReplayRequest],
     fates: Vec<Option<RequestFate>>,

@@ -7,8 +7,7 @@
 //! access trace and converts it to seconds with this model. The *shape* of
 //! the paper's figures — who pays indexing cost when, who seeks and who
 //! scans — is preserved by construction; absolute values depend only on the
-//! chosen parameters and are reported alongside the paper's in
-//! EXPERIMENTS.md.
+//! chosen parameters (see the README's Benchmarks section).
 
 use crate::stats::IoStats;
 use serde::{Deserialize, Serialize};

@@ -12,8 +12,7 @@
 //! * [`stats`] — I/O counters ([`IoStats`]) distinguishing sequential from
 //!   random page accesses,
 //! * [`cost`] — a deterministic disk [`CostModel`] turning counters into
-//!   simulated seconds (the substitution for the paper's SAS disks, see
-//!   DESIGN.md §3),
+//!   simulated seconds (the substitution for the paper's SAS disks),
 //! * [`buffer`] — a bounded [`BufferPool`] so the configured memory budget is
 //!   honoured,
 //! * [`manager`] — the [`StorageManager`] façade every index implementation

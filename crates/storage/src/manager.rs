@@ -520,7 +520,7 @@ impl StorageManager {
     }
 
     /// Number of pages the metadata WAL currently occupies (0 when not
-    /// durable) — the quantity the checkpoint-interval bench sweeps.
+    /// durable); a checkpoint resets it.
     pub fn wal_pages(&self) -> u64 {
         self.wal.as_ref().map(|wal| wal.lock().pages()).unwrap_or(0)
     }

@@ -16,7 +16,8 @@ use space_odyssey::geom::{
 };
 use space_odyssey::storage::fault::{self, FaultPlan, SiteClass};
 use space_odyssey::storage::{
-    write_raw_dataset, StorageManager, StorageOptions, PAGE_SIZE, WAL_FILE_NAME,
+    write_raw_dataset, Manifest, StorageManager, StorageOptions, MANIFEST_FILE_NAME, PAGE_SIZE,
+    WAL_FILE_NAME,
 };
 use std::path::Path;
 
@@ -116,12 +117,25 @@ fn hot_query(id: u32, offset: f64, side: f64) -> RangeQuery {
 /// batches that stale the merge file, queries that repair it. Returns the
 /// ingest batches applied per dataset, in order.
 fn run_trace(store: &Store) -> Vec<Vec<SpatialObject>> {
+    run_trace_checkpointing(store, usize::MAX)
+}
+
+/// [`run_trace`], checkpointing after every `every`-th operation.
+fn run_trace_checkpointing(store: &Store, every: usize) -> Vec<Vec<SpatialObject>> {
+    let mut ops = 0usize;
+    let mut op_done = || {
+        ops += 1;
+        if ops.is_multiple_of(every) {
+            store.engine.checkpoint(&store.storage).unwrap();
+        }
+    };
     let mut ingested: Vec<Vec<SpatialObject>> = (0..NUM_DATASETS).map(|_| Vec::new()).collect();
     for i in 0..8 {
         store
             .engine
             .execute(&store.storage, &hot_query(i, (i % 3) as f64, 4.0))
             .unwrap();
+        op_done();
     }
     for batch in 0..3u64 {
         let ds = (batch % NUM_DATASETS as u64) as u16;
@@ -131,10 +145,12 @@ fn run_trace(store: &Store) -> Vec<Vec<SpatialObject>> {
             .ingest(&store.storage, DatasetId(ds), &objs)
             .unwrap();
         ingested[ds as usize].extend(objs);
+        op_done();
         store
             .engine
             .execute(&store.storage, &hot_query(100 + batch as u32, 1.0, 4.0))
             .unwrap();
+        op_done();
     }
     assert!(
         store
@@ -585,6 +601,50 @@ fn fault_injected_wal_writes_crash_cleanly_and_recover() {
         };
         assert_consistent_prefix(dir.path(), &seeds, &sent);
     }
+}
+
+#[test]
+fn periodic_checkpoints_shrink_the_wal_at_a_crash() {
+    // The same trace on two stores, one never checkpointed after creation
+    // and one checkpointed every four operations; both crash (drop without
+    // close) at the end.
+    let crash = |every: usize| {
+        let dir = tempfile::tempdir().unwrap();
+        let (wal_pages, ingested, seeds) = {
+            let store = build_store(dir.path(), config());
+            let ingested = run_trace_checkpointing(&store, every);
+            (store.storage.wal_pages(), ingested, store.seeds)
+        };
+        // The manifest's epoch counts the checkpoints written.
+        let manifest = std::fs::read(dir.path().join(MANIFEST_FILE_NAME)).unwrap();
+        let epoch = Manifest::decode(&manifest).unwrap().epoch;
+
+        let (storage, recovered) =
+            StorageManager::open(StorageOptions::durable(dir.path(), 256)).unwrap();
+        let engine = SpaceOdyssey::open(&storage, recovered).unwrap();
+        let mut all: Vec<SpatialObject> = seeds.into_iter().flatten().collect();
+        all.extend(ingested.into_iter().flatten());
+        for q in &verification_mix() {
+            assert_eq!(
+                canonical(&engine, &storage, q),
+                oracle(&all, q),
+                "query {:?} diverged after recovery (checkpoint every {every})",
+                q.id()
+            );
+        }
+        (wal_pages, epoch)
+    };
+    let (never_wal, never_epoch) = crash(usize::MAX);
+    let (periodic_wal, periodic_epoch) = crash(4);
+    assert!(never_wal > 1, "the WAL must hold the trace");
+    assert!(
+        periodic_wal < never_wal,
+        "checkpointing must shrink the WAL at the crash: {periodic_wal} vs {never_wal} pages"
+    );
+    assert!(
+        periodic_epoch > never_epoch,
+        "the periodic store must have written more checkpoints"
+    );
 }
 
 #[test]

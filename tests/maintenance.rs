@@ -11,8 +11,15 @@
 //! * **Trigger coverage** — dropping an unexhausted streaming cursor still
 //!   enqueues the compaction trigger it observed; concurrent drains and
 //!   queries never repair the same merge file twice.
+//! * **Foreground tail** — the same churn on two durable stores, scheduler
+//!   on vs inline drains: the scheduler answers identically, its
+//!   per-operation p99 (simulated seconds, so deterministic on any host)
+//!   is no worse than inline, and it does not inflate write amplification.
 
 use space_odyssey::core::{OdysseyConfig, SpaceOdyssey};
+use space_odyssey::datagen::{
+    BrainModel, CombinationDistribution, DatasetSpec, QueryRangeDistribution, WorkloadSpec,
+};
 use space_odyssey::geom::{
     scan_knn_query, scan_query, Aabb, CountQuery, DatasetId, DatasetSet, KnnQuery, ObjectId,
     PointQuery, Query, QueryId, RangeQuery, SpatialObject, Vec3,
@@ -648,4 +655,183 @@ fn concurrent_drains_and_queries_never_double_repair() {
     // bounded by completed jobs and the queue fully drains.
     assert!(waited <= engine.maintenance().jobs_completed());
     assert_eq!(engine.maintenance_queue_depth(), 0);
+}
+
+/// One store's run of the scheduler-vs-inline churn.
+#[derive(Debug)]
+struct ChurnRun {
+    /// p99 over every foreground operation (queries and ingest batches),
+    /// simulated seconds.
+    op_p99_s: f64,
+    /// p99 over the ingest batches alone.
+    ingest_p99_s: f64,
+    /// Simulated seconds spent in the explicit pumps (scheduler only).
+    pump_seconds: f64,
+    /// Pages written over the churn per page of net live growth.
+    write_amplification: f64,
+    jobs_completed: u64,
+    stale_bypasses: u64,
+    /// Canonical answers to the verification queries afterwards.
+    answers: Vec<(u64, Vec<(u16, u64)>)>,
+}
+
+/// Nearest-rank 99th percentile.
+fn p99(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[(samples.len() * 99).div_ceil(100) - 1]
+}
+
+/// Sixteen churn rounds on a durable brain-model store: each round ingests
+/// 64 objects per dataset into a narrow hot band (staling merge files and
+/// orphaning overflow pages), runs three adaptive queries and, with the
+/// scheduler on, one maintenance pump. A 48-page merge budget keeps
+/// evictions and staleness repairs coming.
+fn scheduler_churn(background: bool) -> ChurnRun {
+    const ROUNDS: usize = 16;
+    const QUERIES_PER_ROUND: usize = 3;
+    let spec = DatasetSpec {
+        num_datasets: 3,
+        objects_per_dataset: 900,
+        soma_clusters: 4,
+        segments_per_neuron: 30,
+        seed: 11,
+        ..Default::default()
+    };
+    let model = BrainModel::new(spec.clone());
+    let bounds = model.bounds();
+    let workload = |queries, volume, seed| {
+        WorkloadSpec {
+            num_datasets: spec.num_datasets,
+            datasets_per_query: 3,
+            num_queries: queries,
+            query_volume_fraction: volume,
+            range_distribution: QueryRangeDistribution::Clustered { num_clusters: 4 },
+            combination_distribution: CombinationDistribution::Zipf,
+            seed,
+        }
+        .generate(&bounds)
+    };
+    let churn_queries = workload(ROUNDS * QUERIES_PER_ROUND, 1e-4, 31);
+    let hot_band = |ds: u16, round: u64| -> Vec<SpatialObject> {
+        let e = bounds.extent();
+        (0..64u64)
+            .map(|i| {
+                let t = ((round * 13 + i) % 89) as f64 / 89.0;
+                let c = Vec3::new(
+                    bounds.min.x + e.x * (0.40 + 0.12 * t),
+                    bounds.min.y + e.y * (0.40 + 0.12 * ((t * 3.0) % 1.0)),
+                    bounds.min.z + e.z * (0.40 + 0.12 * ((t * 7.0) % 1.0)),
+                );
+                SpatialObject::new(
+                    ObjectId(700_000 + round * 100_000 + i),
+                    DatasetId(ds),
+                    Aabb::from_center_extent(c, Vec3::splat(e.x * 0.002)),
+                )
+            })
+            .collect()
+    };
+
+    let seeds = model.generate_all();
+    let mut all: Vec<SpatialObject> = seeds.iter().flatten().copied().collect();
+    let dir = tempfile::tempdir().unwrap();
+    let storage = StorageManager::create(StorageOptions::durable(dir.path(), 512)).unwrap();
+    let raws = seeds
+        .iter()
+        .enumerate()
+        .map(|(ds, objs)| write_raw_dataset(&storage, DatasetId(ds as u16), objs).unwrap())
+        .collect();
+    let mut cfg = OdysseyConfig::paper(bounds).with_maintenance_pages_per_step(32);
+    cfg.merge_space_budget_pages = Some(48);
+    if background {
+        cfg = cfg.with_background_maintenance();
+    }
+    let engine = SpaceOdyssey::create(cfg, raws, &storage).unwrap();
+
+    let churn_start = storage.stats();
+    let live_before = engine.live_pages();
+    let (mut query_costs, mut ingest_costs, mut pump_seconds) = (Vec::new(), Vec::new(), 0.0);
+    for round in 0..ROUNDS {
+        for ds in 0..spec.num_datasets {
+            let objs = hot_band(ds as u16, (round * spec.num_datasets + ds) as u64);
+            let before = storage.stats();
+            engine
+                .ingest(&storage, DatasetId(ds as u16), &objs)
+                .unwrap();
+            ingest_costs.push(storage.seconds_since(&before));
+            all.extend(objs);
+        }
+        for q in &churn_queries.queries[round * QUERIES_PER_ROUND..][..QUERIES_PER_ROUND] {
+            let before = storage.stats();
+            engine.execute(&storage, q).unwrap();
+            query_costs.push(storage.seconds_since(&before));
+        }
+        if background {
+            let before = storage.stats();
+            engine.run_maintenance(&storage).unwrap();
+            pump_seconds += storage.seconds_since(&before);
+        }
+    }
+    let pages_written = (storage.stats() - churn_start).pages_written();
+    let live_delta = engine.live_pages().saturating_sub(live_before).max(1);
+    // Verification: the hot band itself, plus queries large enough to
+    // return data, each checked against the oracle.
+    let e = bounds.extent();
+    let mut verify = vec![Query::Range(RangeQuery::new(
+        QueryId(9_000),
+        Aabb::from_min_max(bounds.min + e * 0.40, bounds.min + e * 0.52),
+        DatasetSet::first_n(spec.num_datasets),
+    ))];
+    verify.extend(workload(10, 1e-2, 67).queries.into_iter().map(Query::Range));
+    let answers: Vec<_> = verify
+        .iter()
+        .map(|q| canonical(&engine, &storage, q))
+        .collect();
+    for (q, answer) in verify.iter().zip(&answers) {
+        assert_eq!(answer, &oracle(&all, q), "query {:?} diverged", q.id());
+    }
+    let op_costs = query_costs.iter().chain(&ingest_costs).copied().collect();
+    ChurnRun {
+        op_p99_s: p99(op_costs),
+        ingest_p99_s: p99(ingest_costs),
+        pump_seconds,
+        write_amplification: pages_written as f64 / live_delta as f64,
+        jobs_completed: engine.maintenance().jobs_completed(),
+        stale_bypasses: engine.stale_bypasses(),
+        answers,
+    }
+}
+
+#[test]
+fn scheduler_moves_maintenance_off_the_foreground_tail() {
+    let scheduler = scheduler_churn(true);
+    let inline = scheduler_churn(false);
+    assert_eq!(
+        scheduler.answers, inline.answers,
+        "deferred maintenance changed an answer"
+    );
+    assert!(
+        scheduler.op_p99_s <= inline.op_p99_s,
+        "scheduler-on foreground-op p99 must not exceed inline: {scheduler:?} vs {inline:?}"
+    );
+    assert!(
+        scheduler.ingest_p99_s <= inline.ingest_p99_s,
+        "deferred compaction must cut the ingest tail: {scheduler:?} vs {inline:?}"
+    );
+    assert!(
+        scheduler.stale_bypasses > 0,
+        "background queries must bypass stale entries: {scheduler:?}"
+    );
+    assert!(
+        scheduler.jobs_completed > 0 && inline.jobs_completed > 0,
+        "both modes must run maintenance jobs: {scheduler:?} vs {inline:?}"
+    );
+    assert!(
+        scheduler.pump_seconds > 0.0,
+        "the pump must have done real work: {scheduler:?}"
+    );
+    // Deferring maintenance moves work; it must not meaningfully add any.
+    assert!(
+        scheduler.write_amplification <= inline.write_amplification * 1.5,
+        "scheduler must not inflate write amplification: {scheduler:?} vs {inline:?}"
+    );
 }

@@ -1,5 +1,6 @@
-//! Integration tests for the serving tier (`odyssey-serve`) against the
-//! real dispatcher — not the virtual-time replay harness.
+//! Integration tests for the serving tier (`odyssey-serve`).
+//!
+//! Against the real dispatcher:
 //!
 //! * **Coalescing equivalence** — the same read-only workload submitted
 //!   through a micro-batching server from eight shuffled client threads
@@ -8,24 +9,35 @@
 //! * **Admission isolation** — under a deliberately flooding tenant,
 //!   innocent tenants are never shed, every shed is a typed
 //!   [`ServeError::Overloaded`] naming the flooding tenant, and every
-//!   served innocent answer matches the engine's direct answer. (The
-//!   quantitative p99 bound lives in the deterministic replay suite in
-//!   `odyssey-bench`, where it is immune to wall-clock noise.)
+//!   served innocent answer matches the engine's direct answer.
 //! * **Deadline expiry** — requests whose deadline has already passed are
 //!   rejected with a typed error before any engine work: no query
 //!   executes, no ingest lands, and no simulated I/O cost is charged.
+//!
+//! Through the virtual-time [`replay`], whose latencies are simulated I/O
+//! cost over a modeled worker pool and therefore deterministic on any host
+//! (see `crates/serve/src/replay.rs`):
+//!
+//! * **Batching gate** — on an open-loop query+ingest trace, backlog
+//!   batching returns the per-request answers, coalesces, and keeps the
+//!   served p99 at or below per-request dispatch.
+//! * **Flood gate** — under a flooding tenant, admission control sheds the
+//!   flood, never an innocent, and keeps the innocents' p99 at or below
+//!   what the unchecked flood inflicts on them.
 
 use odyssey_serve::{
-    AdmissionConfig, BatchPolicy, Frontend, Request, ServeConfig, ServeError, Server,
+    replay, AdmissionConfig, BatchPolicy, Frontend, ReplayRequest, Request, RequestFate,
+    ServeConfig, ServeError, Server,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use space_odyssey::core::{EngineOp, OdysseyConfig, OpOutcome, SpaceOdyssey};
 use space_odyssey::datagen::{
-    BrainModel, CombinationDistribution, DatasetSpec, QueryRangeDistribution, WorkloadSpec,
+    BrainModel, CombinationDistribution, DatasetSpec, OpenLoopProfile, QueryRangeDistribution,
+    WorkloadSpec,
 };
 use space_odyssey::geom::{
-    Aabb, CountQuery, DatasetId, DatasetSet, Query, QueryId, SpatialObject, Vec3,
+    Aabb, CountQuery, DatasetId, DatasetSet, ObjectId, Query, QueryId, SpatialObject, Vec3,
 };
 use space_odyssey::storage::{crc32, write_raw_dataset, StorageManager, StorageOptions};
 use std::collections::BTreeMap;
@@ -333,7 +345,7 @@ fn expired_deadlines_never_touch_the_engine() {
             DatasetSet::from_ids([DatasetId(0)]),
         ));
         let intruder = SpatialObject::new(
-            space_odyssey::geom::ObjectId(u64::MAX),
+            ObjectId(u64::MAX),
             DatasetId(0),
             Aabb::from_center_extent(bounds.min, Vec3::splat(0.5)),
         );
@@ -396,4 +408,249 @@ fn expired_deadlines_never_touch_the_engine() {
     assert_eq!(first_answer, second_answer, "expiry must be deterministic");
     assert_eq!(first_expired, second_expired);
     assert!(first_expired >= 2, "both expired requests must be counted");
+}
+
+/// Replay scale: four brain-model datasets of 2,000 objects, 120 open-loop
+/// requests over four tenants and a 2,000-request flood — long enough that
+/// its unchecked backlog outweighs the batch-mates it incidentally donates
+/// to the innocents.
+fn replay_spec() -> DatasetSpec {
+    DatasetSpec {
+        num_datasets: 4,
+        objects_per_dataset: 2_000,
+        soma_clusters: 5,
+        segments_per_neuron: 40,
+        seed: 777,
+        ..Default::default()
+    }
+}
+
+const REPLAY_REQUESTS: usize = 120;
+const FLOOD_REQUESTS: usize = 2_000;
+const TRACE_SEED: u64 = 41;
+
+/// Backlog batching with eight modeled workers and no admission control.
+fn batched_config() -> ServeConfig {
+    ServeConfig {
+        batch: BatchPolicy { max_batch: 32 },
+        admission: None,
+        threads: 8,
+        maintenance_interval: None,
+    }
+}
+
+/// Small ingest batch in the middle of the volume.
+fn replay_ingest(bounds: &Aabb, round: u64, dataset: DatasetId) -> Vec<SpatialObject> {
+    let e = bounds.extent();
+    (0..48u64)
+        .map(|i| {
+            let t = ((round * 13 + i) % 89) as f64 / 89.0;
+            let c = Vec3::new(
+                bounds.min.x + e.x * (0.30 + 0.35 * t),
+                bounds.min.y + e.y * (0.30 + 0.35 * ((t * 3.0) % 1.0)),
+                bounds.min.z + e.z * (0.30 + 0.35 * ((t * 7.0) % 1.0)),
+            );
+            SpatialObject::new(
+                ObjectId(900_000 + round * 10_000 + i),
+                dataset,
+                Aabb::from_center_extent(c, Vec3::splat(e.x * 0.002)),
+            )
+        })
+        .collect()
+}
+
+/// The open-loop trace: about 500 requests/s offered over four tenants,
+/// past per-request capacity but within batched capacity; every 16th
+/// request is an ingest.
+fn replay_trace(bounds: &Aabb) -> Vec<ReplayRequest> {
+    let datasets = replay_spec().num_datasets;
+    let arrivals = OpenLoopProfile {
+        mean_interarrival_micros: 2_000,
+        tenants: 4,
+        hot_tenant_share: 0.25,
+        seed: TRACE_SEED,
+    }
+    .arrivals(REPLAY_REQUESTS);
+    let workload = WorkloadSpec {
+        num_datasets: datasets,
+        datasets_per_query: 3,
+        num_queries: REPLAY_REQUESTS,
+        query_volume_fraction: 1e-4,
+        range_distribution: QueryRangeDistribution::Clustered { num_clusters: 4 },
+        combination_distribution: CombinationDistribution::Zipf,
+        seed: TRACE_SEED ^ 0x51,
+    }
+    .generate(bounds);
+    arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let op = if i % 16 == 15 {
+                let dataset = DatasetId((i % datasets) as u16);
+                EngineOp::Ingest {
+                    dataset,
+                    objects: replay_ingest(bounds, i as u64, dataset),
+                }
+            } else {
+                EngineOp::Query(Query::Range(workload.queries[i]))
+            };
+            ReplayRequest {
+                offset_micros: a.offset_micros,
+                tenant: a.tenant,
+                deadline_micros: None,
+                op,
+            }
+        })
+        .collect()
+}
+
+/// The same trace with its tenants shifted to 1..=4, plus tenant 0
+/// flooding one query every 20 µs (~50k/s).
+fn flood_trace(bounds: &Aabb) -> Vec<ReplayRequest> {
+    let mut reqs = replay_trace(bounds);
+    for r in &mut reqs {
+        r.tenant += 1;
+    }
+    let flood = WorkloadSpec {
+        num_datasets: replay_spec().num_datasets,
+        datasets_per_query: 2,
+        num_queries: FLOOD_REQUESTS,
+        query_volume_fraction: 1e-4,
+        range_distribution: QueryRangeDistribution::Clustered { num_clusters: 4 },
+        combination_distribution: CombinationDistribution::Zipf,
+        seed: TRACE_SEED ^ 0xF1,
+    }
+    .generate(bounds);
+    reqs.extend(
+        flood
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| ReplayRequest {
+                offset_micros: i as u64 * 20,
+                tenant: 0,
+                deadline_micros: None,
+                op: EngineOp::Query(Query::Range(*q)),
+            }),
+    );
+    reqs.sort_by_key(|r| r.offset_micros);
+    reqs
+}
+
+/// Replays `trace` on a fresh engine.
+fn replay_fresh(trace: &[ReplayRequest], cfg: &ServeConfig) -> Vec<RequestFate> {
+    let (engine, storage, _) = fresh_world(&replay_spec());
+    replay(&engine, &storage, trace, cfg).expect("replay")
+}
+
+/// What the replay gates read from one run's served requests.
+struct ReplayDigest {
+    served: usize,
+    p99_micros: u64,
+    mean_batch: f64,
+    /// Per served query, in trace order.
+    answers: Vec<u64>,
+}
+
+fn digest<'a>(fates: impl IntoIterator<Item = &'a RequestFate>) -> ReplayDigest {
+    let mut latencies = Vec::new();
+    let mut batch_total = 0;
+    let mut answers = Vec::new();
+    for fate in fates {
+        if let RequestFate::Served {
+            e2e_micros,
+            batch_size,
+            outcome,
+            ..
+        } = fate
+        {
+            latencies.push(*e2e_micros);
+            batch_total += batch_size;
+            if matches!(outcome, OpOutcome::Query(_)) {
+                answers.push(answer_checksum(outcome));
+            }
+        }
+    }
+    latencies.sort_unstable();
+    // Nearest rank.
+    let rank = (latencies.len() * 99).div_ceil(100).max(1);
+    ReplayDigest {
+        served: latencies.len(),
+        p99_micros: latencies.get(rank - 1).copied().unwrap_or(0),
+        mean_batch: batch_total as f64 / latencies.len().max(1) as f64,
+        answers,
+    }
+}
+
+#[test]
+fn replayed_batching_preserves_answers_and_does_not_regress_p99() {
+    let trace = replay_trace(&BrainModel::new(replay_spec()).bounds());
+    let batched = digest(&replay_fresh(&trace, &batched_config()));
+    let per_request = digest(&replay_fresh(
+        &trace,
+        &ServeConfig {
+            batch: BatchPolicy::per_request(),
+            ..batched_config()
+        },
+    ));
+
+    assert_eq!(batched.served, REPLAY_REQUESTS);
+    assert_eq!(per_request.served, REPLAY_REQUESTS);
+    assert_eq!(
+        batched.answers, per_request.answers,
+        "coalesced answers must equal per-request answers"
+    );
+    assert!(batched.mean_batch > 1.0, "the backlog must coalesce");
+    assert_eq!(per_request.mean_batch, 1.0);
+    assert!(
+        batched.p99_micros <= per_request.p99_micros,
+        "batched p99 {} us > per-request p99 {} us",
+        batched.p99_micros,
+        per_request.p99_micros
+    );
+}
+
+#[test]
+fn replayed_flood_sheds_only_the_flooder_and_bounds_innocent_p99() {
+    let trace = flood_trace(&BrainModel::new(replay_spec()).bounds());
+    let on = replay_fresh(
+        &trace,
+        &ServeConfig {
+            admission: Some(AdmissionConfig {
+                // Above each innocent tenant's ~125/s, far below the flood.
+                tokens_per_sec: 250.0,
+                burst_tokens: 32.0,
+                max_queued_per_tenant: 256,
+            }),
+            ..batched_config()
+        },
+    );
+    let off = replay_fresh(&trace, &batched_config());
+
+    let shed = |flooder: bool| {
+        trace
+            .iter()
+            .zip(&on)
+            .filter(|(r, f)| (r.tenant == 0) == flooder && matches!(f, RequestFate::Shed { .. }))
+            .count()
+    };
+    assert_eq!(shed(false), 0, "innocent tenants must never shed");
+    assert!(shed(true) > 0, "the flood must shed");
+
+    let innocents = |fates: &[RequestFate]| {
+        digest(
+            trace
+                .iter()
+                .zip(fates)
+                .filter(|(r, _)| r.tenant != 0)
+                .map(|(_, f)| f),
+        )
+    };
+    let (on, off) = (innocents(&on), innocents(&off));
+    assert!(
+        on.p99_micros <= off.p99_micros,
+        "admission must not make innocents slower than the unchecked flood: {} us > {} us",
+        on.p99_micros,
+        off.p99_micros
+    );
 }
