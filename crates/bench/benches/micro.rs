@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks of the building blocks: partitioning and
 //! refinement, the static index builds and probes, the converged read path
-//! (one merge-path query, and its thread scaling), and the page service path
-//! of the storage layer (checksum, page codec, buffer-pool hit and miss). These measure wall-clock of the in-memory implementation
-//! (they complement the simulated-seconds figures, which measure the modelled
-//! disk); the `storage/*` group reproduces the wall-clock benchmark's
-//! per-layer `storage.*` numbers without a 20-second run.
+//! (one merge-path range query, one kNN query, and the range path's thread
+//! scaling), and the page service path of the storage layer (checksum, page
+//! codec, buffer-pool hit and miss). These measure wall-clock of the
+//! in-memory implementation (they complement the simulated-seconds figures,
+//! which measure the modelled disk); the `storage/*` group reproduces the
+//! wall-clock benchmark's per-layer `storage.*` numbers without a 20-second
+//! run.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use odyssey_baselines::strategy::{build_approach, Approach, ApproachConfig};
@@ -13,7 +15,7 @@ use odyssey_core::{OdysseyConfig, SpaceOdyssey};
 use odyssey_datagen::{
     BrainModel, CombinationDistribution, DatasetSpec, QueryRangeDistribution, WorkloadSpec,
 };
-use odyssey_geom::{DatasetId, Query};
+use odyssey_geom::{DatasetId, DatasetSet, KnnQuery, Query, QueryId};
 use odyssey_storage::{
     crc32, pack_objects, write_raw_dataset, Page, PageId, RawDataset, StorageManager,
     StorageOptions, OBJECTS_PER_PAGE,
@@ -165,6 +167,8 @@ fn bench_odyssey_query_sequence(c: &mut Criterion) {
 
 /// The steady-state read path on a converged 4-dataset store whose one
 /// combination is merged: `range_query` is a single merge-path range query;
+/// `knn_query` is a k = 8 nearest-neighbour query over all four datasets at
+/// the same spot (kNN is always served by the octree, never a merge file);
 /// `batch_300_threads_{1,2}` drain the same 300 queries through
 /// `execute_query_batch_with_threads`. The ratio of the two batch times is
 /// the read path's two-thread speed-up (a converged read takes read locks
@@ -207,11 +211,23 @@ fn bench_converged_query(c: &mut Criterion) {
                 .used_merge_file()
         })
         .expect("a converged query reads the merge file");
+    let Query::Range(hot) = merged else {
+        unreachable!("the workload holds range queries only")
+    };
+    let knn = Query::KNearestNeighbors(KnnQuery::new(
+        QueryId(0),
+        hot.range.center(),
+        8,
+        DatasetSet::from_ids((0..4u16).map(DatasetId)),
+    ));
 
     let mut group = c.benchmark_group("core/converged_query");
     group.sample_size(20);
     group.bench_function("range_query", |b| {
         b.iter(|| engine.execute_query(&f.storage, &merged).unwrap().count);
+    });
+    group.bench_function("knn_query", |b| {
+        b.iter(|| engine.execute_query(&f.storage, &knn).unwrap().count);
     });
     for threads in [1, 2] {
         group.bench_function(format!("batch_300_threads_{threads}"), |b| {

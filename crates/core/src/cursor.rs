@@ -55,9 +55,7 @@ use crate::octree::{top_k_candidates, DatasetIndex};
 use crate::partition::PartitionKey;
 use crate::planner::{AccessPath, PlanChoice, Planner};
 use crate::scheduler::{JobKey, JobSpec};
-use odyssey_geom::{
-    knn_key_cmp, DatasetId, DatasetSet, KnnQuery, Query, RangeQuery, SpatialObject,
-};
+use odyssey_geom::{DatasetId, DatasetSet, KnnQuery, Query, RangeQuery, SpatialObject};
 use odyssey_storage::{pages_needed, FileId, StorageManager, StorageResult};
 use std::collections::VecDeque;
 
@@ -533,15 +531,16 @@ impl<'a> QueryCursor<'a> {
             cursor.knn_components.push((*dataset_id, candidates));
         }
         // Deterministic (distance, dataset, id) merge across the per-dataset
-        // top-k lists; each list is already sorted and at most k long.
-        let mut best: Vec<((f64, u16, u64), SpatialObject)> = cursor
-            .knn_components
-            .iter()
-            .flat_map(|(_, objs)| objs.iter().map(|o| (query.rank_key(o), *o)))
-            .collect();
-        best.sort_by(|a, b| knn_key_cmp(&a.0, &b.0));
-        best.truncate(query.k);
-        cursor.buffered = best.into_iter().map(|(_, o)| o).collect();
+        // top-k lists.
+        cursor.buffered = top_k_candidates(
+            cursor
+                .knn_components
+                .iter()
+                .flat_map(|(_, objs)| objs.iter().copied()),
+            query.point,
+            query.k,
+        )
+        .into();
         Ok(cursor)
     }
 

@@ -73,14 +73,14 @@ use crate::durability::{
 };
 use crate::merge_file::{MergeEntry, MergeFile};
 use crate::merger::{MergeDirectory, Merger, RouteKind};
-use crate::octree::{DatasetIndex, IngestStats};
+use crate::octree::{top_k_candidates, DatasetIndex, IngestStats};
 use crate::planner::{AccessPath, PlanChoice};
 use crate::result_cache::{CacheLookup, CachedComponent, ResultCache};
 use crate::scheduler::{JobSpec, MaintenanceScheduler};
 use crate::stats::StatsCollector;
 use odyssey_geom::{
-    knn_key_cmp, CountQuery, DatasetId, DatasetSet, KnnQuery, PointQuery, Query, QuerySignature,
-    RangeQuery, SpatialObject,
+    CountQuery, DatasetId, DatasetSet, KnnQuery, PointQuery, Query, QuerySignature, RangeQuery,
+    SpatialObject,
 };
 use odyssey_storage::sync::{Exclusive, LockClass, Shared, SharedReadGuard};
 use odyssey_storage::{
@@ -938,13 +938,11 @@ impl SpaceOdyssey {
         let (objects, count) = match query {
             Query::Count(_) => (Vec::new(), components.iter().map(|c| c.count).sum()),
             Query::KNearestNeighbors(q) => {
-                let mut best: Vec<((f64, u16, u64), SpatialObject)> = components
-                    .iter()
-                    .flat_map(|c| c.objects.iter().map(|o| (q.rank_key(o), *o)))
-                    .collect();
-                best.sort_by(|a, b| knn_key_cmp(&a.0, &b.0));
-                best.truncate(q.k);
-                let objects: Vec<SpatialObject> = best.into_iter().map(|(_, o)| o).collect();
+                let objects = top_k_candidates(
+                    components.iter().flat_map(|c| c.objects.iter().copied()),
+                    q.point,
+                    q.k,
+                );
                 let count = objects.len() as u64;
                 (objects, count)
             }

@@ -57,7 +57,11 @@ pub struct PreparedQuery {
     pub refined: usize,
 }
 
-/// Result of a best-first k-nearest-neighbour traversal over one dataset.
+/// Result of a best-first k-nearest-neighbour traversal over one dataset
+/// ([`DatasetIndex::knn`]): partitions are visited in ascending
+/// `(mindist, key)` order off a heap built in `O(n)` over the `n` leaves,
+/// each visit costing `O(log n)`, until the `k`-th distance bound prunes the
+/// rest.
 #[derive(Debug, Default)]
 pub struct PreparedKnn {
     /// The dataset's `k` best candidates, sorted by
@@ -107,9 +111,10 @@ impl Ord for RankedCandidate {
 }
 
 /// Selects the `k` best candidates around `point` in one pass with `O(k)`
-/// memory — the heap selection shared by the octree traversal and the
-/// engine's sequential-scan kNN path. Results come back sorted by
-/// `(distance², dataset, id)`.
+/// memory — the one top-k selection of the engine: the sequential-scan kNN
+/// path ranks a raw dataset with it, and the cursor and the result cache
+/// merge per-dataset top-k lists into the global answer with it. Results
+/// come back sorted by `(distance², dataset, id)`.
 pub(crate) fn top_k_candidates(
     objects: impl IntoIterator<Item = SpatialObject>,
     point: Vec3,
@@ -132,6 +137,37 @@ pub(crate) fn top_k_candidates(
         .into_iter()
         .map(|c| c.object)
         .collect()
+}
+
+/// A leaf on the kNN frontier. Ordered so that [`BinaryHeap`] (a max-heap)
+/// pops the smallest `(mindist, key)` first; keys are unique, so the visit
+/// order is total.
+struct FrontierLeaf<'a> {
+    mindist: f64,
+    partition: &'a Partition,
+}
+
+impl PartialEq for FrontierLeaf<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for FrontierLeaf<'_> {}
+
+impl PartialOrd for FrontierLeaf<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FrontierLeaf<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .mindist
+            .total_cmp(&self.mindist)
+            .then_with(|| other.partition.key.cmp(&self.partition.key))
+    }
 }
 
 /// How a dataset's current leaves cover a region key — the vocabulary of the
@@ -1476,8 +1512,8 @@ impl DatasetIndex {
     }
 
     /// Best-first k-nearest-neighbour traversal: visits leaf partitions in
-    /// ascending `mindist` order and stops as soon as no unvisited partition
-    /// can still improve the `k` best candidates.
+    /// ascending `(mindist, key)` order and stops as soon as no unvisited
+    /// partition can still improve the `k` best candidates.
     ///
     /// Objects are assigned to partitions by center, so an object's MBR may
     /// stick out of its partition by up to half the dataset's `maxExtent`;
@@ -1486,6 +1522,11 @@ impl DatasetIndex {
     /// pruning boundary are resolved by reading (`mindist <= kth` rather than
     /// `<`), so the answer equals the brute-force oracle's including its
     /// `(distance, dataset, id)` tie-break.
+    ///
+    /// Cost: one `mindist` pass and an `O(n)` heap build over the `n`
+    /// leaves, then `O(log n)` per visited partition — the table is never
+    /// sorted, so a query pays for the partitions it reads, not for the ones
+    /// it prunes.
     ///
     /// The whole traversal runs under one read-lock acquisition: the
     /// partition table and every page run it reads belong to one consistent
@@ -1507,32 +1548,33 @@ impl DatasetIndex {
         let file = state.file.expect("knn requires an initialized dataset"); // analyzer: allow(knn runs only on initialized datasets)
         let margin = state.max_extent * 0.5;
 
-        // Rank partitions by the extended-bounds mindist. The scan over the
-        // partition table is CPU work, like every other partition-MBR scan.
+        // One pass computes every leaf's extended-bounds mindist and totals
+        // the objects; the frontier is heapified in O(n) and popped only as
+        // far as the traversal goes. The scan over the partition table is
+        // CPU work, like every other partition-MBR scan.
         storage.note_objects_scanned(state.partitions.len() as u64);
-        let mut order: Vec<(f64, &Partition)> = state
-            .partitions
-            .iter()
-            .map(|p| (p.bounds.expanded(margin).min_distance_squared_to(point), p))
-            .collect();
-        order.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("partition distances are finite") // analyzer: allow(distances are squared norms, never NaN)
-                .then(a.1.key.cmp(&b.1.key))
-        });
+        let mut unvisited_objects = 0u64;
+        let mut leaves = Vec::with_capacity(state.partitions.len());
+        for p in state.partitions.iter() {
+            unvisited_objects += p.object_count;
+            leaves.push(FrontierLeaf {
+                mindist: p.bounds.expanded(margin).min_distance_squared_to(point),
+                partition: p,
+            });
+        }
+        let mut frontier = BinaryHeap::from(leaves);
 
         // A bounded max-heap of the k best candidates: the worst retained
         // candidate sits on top, so the pruning bound is one peek and memory
         // stays O(k) no matter how many objects the visited partitions hold.
         let mut best: BinaryHeap<RankedCandidate> = BinaryHeap::with_capacity(k + 1);
         let mut kth = f64::INFINITY;
-        let mut visited = 0usize;
         let mut chunk: Vec<SpatialObject> = Vec::new();
-        for (mindist, partition) in order.iter() {
-            if best.len() >= k && *mindist > kth {
+        while let Some(FrontierLeaf { mindist, partition }) = frontier.pop() {
+            if best.len() >= k && mindist > kth {
                 break;
             }
-            visited += 1;
+            unvisited_objects -= partition.object_count;
             out.retrieved_keys.push(partition.key);
             if partition.object_count == 0 {
                 continue;
@@ -1565,9 +1607,9 @@ impl DatasetIndex {
                 kth = best.peek().expect("heap holds k candidates").key.0; // analyzer: allow(heap size just compared equal to k)
             }
         }
-        // Everything after the early exit is provably outside the k-th
+        // Everything left on the frontier is provably outside the k-th
         // distance bound: count the objects the traversal never examined.
-        out.rows_skipped = order[visited..].iter().map(|(_, p)| p.object_count).sum();
+        out.rows_skipped = unvisited_objects;
         out.results = best
             .into_sorted_vec()
             .into_iter()
@@ -1723,6 +1765,55 @@ mod tests {
             return Some((objects, seq));
         }
         Some((Vec::new(), seq))
+    }
+
+    /// Linear oracle of [`DatasetIndex::knn`]: sort the whole table by
+    /// `(mindist, key)`, then visit in that order until the k-th bound.
+    fn knn_scan(
+        index: &DatasetIndex,
+        storage: &StorageManager,
+        point: Vec3,
+        k: usize,
+    ) -> PreparedKnn {
+        let state = index.state.read();
+        let file = state.file.unwrap();
+        let margin = state.max_extent * 0.5;
+        let mut order: Vec<(f64, &Partition)> = state
+            .partitions
+            .iter()
+            .map(|p| (p.bounds.expanded(margin).min_distance_squared_to(point), p))
+            .collect();
+        order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.key.cmp(&b.1.key)));
+        let mut out = PreparedKnn::default();
+        let mut best: BinaryHeap<RankedCandidate> = BinaryHeap::new();
+        let mut kth = f64::INFINITY;
+        let mut visited = 0;
+        for (mindist, p) in &order {
+            if best.len() >= k && *mindist > kth {
+                break;
+            }
+            visited += 1;
+            out.retrieved_keys.push(p.key);
+            for o in DatasetIndex::read_runs(storage, file, p).unwrap() {
+                best.push(RankedCandidate {
+                    key: (o.mbr.min_distance_squared_to(point), o.dataset.0, o.id.0),
+                    object: o,
+                });
+                if best.len() > k {
+                    best.pop();
+                }
+            }
+            if best.len() == k {
+                kth = best.peek().unwrap().key.0;
+            }
+        }
+        out.rows_skipped = order[visited..].iter().map(|(_, p)| p.object_count).sum();
+        out.results = best
+            .into_sorted_vec()
+            .into_iter()
+            .map(|c| c.object)
+            .collect();
+        out
     }
 
     /// Asserts that the keyed answers equal the linear-scan oracles for a
@@ -2225,6 +2316,93 @@ mod tests {
             small.retrieved_keys.len() < index.partitions().len(),
             "best-first must not visit every partition for a small k"
         );
+    }
+
+    #[test]
+    fn knn_visit_order_matches_the_linear_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(56);
+        let storage = StorageManager::in_memory();
+        let objs = clustered_objects(1200, 0, &mut rng);
+        let raw = write_raw_dataset(&storage, DatasetId(0), &objs).unwrap();
+        let index = DatasetIndex::new(raw);
+        // No ingest splits, so arrivals stay in overflow runs.
+        let cfg = config().with_ingest_split_objects(0);
+        // Refine the three hot spots several levels deep.
+        let spots = [
+            Vec3::splat(12.0),
+            Vec3::new(70.0, 30.0, 60.0),
+            Vec3::splat(88.0),
+        ];
+        for (i, c) in spots.iter().cycle().take(18).enumerate() {
+            let q = RangeQuery::new(
+                QueryId(i as u32),
+                Aabb::from_center_extent(*c, Vec3::splat(0.8)),
+                DatasetSet::single(DatasetId(0)),
+            );
+            run_query(&storage, &index, &cfg, &q);
+        }
+        let arrivals: Vec<SpatialObject> = (0..20u64)
+            .map(|i| {
+                SpatialObject::new(
+                    ObjectId(1_000_000 + i),
+                    DatasetId(0),
+                    Aabb::from_center_extent(
+                        spots[1] + Vec3::splat(i as f64 * 0.1),
+                        Vec3::splat(0.3),
+                    ),
+                )
+            })
+            .collect();
+        index.ingest(&storage, &cfg, &arrivals).unwrap();
+        let leaves = index.partitions();
+        assert!(
+            leaves.iter().any(|p| p.key.level >= 3),
+            "refined three levels"
+        );
+        assert!(
+            leaves.iter().any(|p| p.overflow_page_count > 0),
+            "an overflow run"
+        );
+        let covered: f64 = leaves.iter().map(|p| p.volume()).sum();
+        assert!(covered < cfg.bounds.volume(), "at least one hole");
+
+        let n = objs.len() + arrivals.len();
+        let mut points: Vec<Vec3> = (0..200)
+            .map(|_| {
+                Vec3::new(
+                    rng.gen_range(0.0..100.0),
+                    rng.gen_range(0.0..100.0),
+                    rng.gen_range(0.0..100.0),
+                )
+            })
+            .collect();
+        // Cell corners and face centers, where mindist-0 ties occur.
+        for p in leaves.iter().step_by(leaves.len() / 20 + 1) {
+            let (lo, mid) = (p.bounds.min, p.bounds.center());
+            points.push(lo);
+            points.push(Vec3::new(lo.x, mid.y, mid.z));
+        }
+        points.extend([
+            Vec3::splat(-25.0),
+            Vec3::new(150.0, 50.0, 50.0),
+            Vec3::new(50.0, -5.0, 120.0),
+            Vec3::splat(1e4),
+        ]);
+        for p in points {
+            for k in [1, 8, 40, n + 5] {
+                let got = index.knn(&storage, &cfg, p, k).unwrap();
+                let expected = knn_scan(&index, &storage, p, k);
+                assert_eq!(got.results, expected.results, "results (k={k}, p={p:?})");
+                assert_eq!(
+                    got.retrieved_keys, expected.retrieved_keys,
+                    "visit order (k={k}, p={p:?})"
+                );
+                assert_eq!(
+                    got.rows_skipped, expected.rows_skipped,
+                    "rows_skipped (k={k}, p={p:?})"
+                );
+            }
+        }
     }
 
     #[test]

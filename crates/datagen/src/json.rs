@@ -8,7 +8,6 @@
 //! written with Rust's shortest-roundtrip formatting, so a save/load cycle
 //! reproduces every coordinate bit for bit.
 
-use crate::trace::{Arrival, InterleavedTrace, TraceStep};
 use odyssey_geom::{
     Aabb, CountQuery, DatasetId, DatasetSet, KnnQuery, ObjectId, PointQuery, Query, QueryId,
     RangeQuery, SpatialObject, Vec3,
@@ -618,230 +617,6 @@ impl SavedWorkload {
     }
 }
 
-/// Schema version tag of saved interleaved traces (closed-loop).
-pub const TRACE_FORMAT: &str = "odyssey-trace-v1";
-
-/// Schema version tag of saved *open-loop* traces: `v1` plus one
-/// `{offset_micros, tenant}` arrival record per step. A `v1` document still
-/// loads (with [`SavedTrace::arrivals`] absent, i.e. zero offsets), and a
-/// trace without arrivals round-trips through the bit-exact `v1` format.
-pub const TRACE_FORMAT_V2: &str = "odyssey-trace-v2";
-
-/// A fully materialized interleaved ingest/query trace: the brain volume,
-/// the *initial* objects of every dataset, and the step sequence (queries
-/// plus timed ingest batches). Save it next to a benchmark result and any
-/// host can replay the identical online-ingestion run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavedTrace {
-    /// The brain volume the engine is configured with.
-    pub bounds: Aabb,
-    /// Every *initial* object of every dataset, in raw-file order (arrivals
-    /// live inside the ingest steps).
-    pub objects: Vec<SpatialObject>,
-    /// The interleaved step sequence, in execution order.
-    pub steps: Vec<TraceStep>,
-    /// Open-loop arrival metadata, one record per step in step order
-    /// (`None` for closed-loop `v1` traces, which replay as "everything
-    /// arrived at offset zero").
-    pub arrivals: Option<Vec<Arrival>>,
-}
-
-impl SavedTrace {
-    /// Bundles an [`InterleavedTrace`]'s steps with the initial datasets
-    /// (closed-loop; saves as `v1`).
-    pub fn new(bounds: Aabb, objects: Vec<SpatialObject>, trace: &InterleavedTrace) -> Self {
-        SavedTrace {
-            bounds,
-            objects,
-            steps: trace.steps.clone(),
-            arrivals: None,
-        }
-    }
-
-    /// Attaches open-loop arrival metadata (saves as `v2`).
-    ///
-    /// # Panics
-    /// Panics unless there is exactly one arrival per step.
-    pub fn with_arrivals(mut self, arrivals: Vec<Arrival>) -> Self {
-        assert_eq!(
-            arrivals.len(),
-            self.steps.len(),
-            "one arrival per trace step"
-        );
-        self.arrivals = Some(arrivals);
-        self
-    }
-
-    /// Serializes the trace as a JSON document.
-    pub fn to_json(&self) -> String {
-        let objects = self.objects.iter().map(object_json).collect();
-        let steps = self
-            .steps
-            .iter()
-            .map(|step| match step {
-                TraceStep::Query(q) => {
-                    let mut fields = vec![("op".into(), JsonValue::String("query".into()))];
-                    fields.extend(query_fields(q));
-                    JsonValue::Object(fields)
-                }
-                TraceStep::Ingest { dataset, objects } => JsonValue::Object(vec![
-                    ("op".into(), JsonValue::String("ingest".into())),
-                    ("dataset".into(), JsonValue::Number(dataset.0 as f64)),
-                    (
-                        "objects".into(),
-                        JsonValue::Array(objects.iter().map(object_json).collect()),
-                    ),
-                ]),
-            })
-            .collect();
-        let mut fields = vec![
-            (
-                "format".into(),
-                JsonValue::String(
-                    if self.arrivals.is_some() {
-                        TRACE_FORMAT_V2
-                    } else {
-                        TRACE_FORMAT
-                    }
-                    .into(),
-                ),
-            ),
-            ("bounds".into(), aabb_json(&self.bounds)),
-            ("objects".into(), JsonValue::Array(objects)),
-            ("steps".into(), JsonValue::Array(steps)),
-        ];
-        if let Some(arrivals) = &self.arrivals {
-            fields.push((
-                "arrivals".into(),
-                JsonValue::Array(
-                    arrivals
-                        .iter()
-                        .map(|a| {
-                            JsonValue::Object(vec![
-                                (
-                                    "offset_micros".into(),
-                                    JsonValue::Number(a.offset_micros as f64),
-                                ),
-                                ("tenant".into(), JsonValue::Number(a.tenant as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        JsonValue::Object(fields).to_json()
-    }
-
-    /// Parses a trace from its JSON document.
-    pub fn from_json(input: &str) -> Result<SavedTrace, JsonError> {
-        let doc = JsonValue::parse(input)?;
-        let format = field(&doc, "format", "document")?
-            .as_str()
-            .ok_or_else(|| schema_err("document: 'format' must be a string"))?;
-        if format != TRACE_FORMAT && format != TRACE_FORMAT_V2 {
-            return Err(schema_err(format!(
-                "unsupported format '{format}' (expected '{TRACE_FORMAT}' or '{TRACE_FORMAT_V2}')"
-            )));
-        }
-        let open_loop = format == TRACE_FORMAT_V2;
-        let bounds = aabb_from(field(&doc, "bounds", "document")?, "bounds")?;
-        let mut objects = Vec::new();
-        for (i, obj) in field(&doc, "objects", "document")?
-            .as_array()
-            .ok_or_else(|| schema_err("document: 'objects' must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            objects.push(object_from(obj, &format!("objects[{i}]"))?);
-        }
-        let mut steps = Vec::new();
-        for (i, step) in field(&doc, "steps", "document")?
-            .as_array()
-            .ok_or_else(|| schema_err("document: 'steps' must be an array"))?
-            .iter()
-            .enumerate()
-        {
-            let what = format!("steps[{i}]");
-            let op = field(step, "op", &what)?
-                .as_str()
-                .ok_or_else(|| schema_err(format!("{what}: 'op' must be a string")))?;
-            match op {
-                "query" => steps.push(TraceStep::Query(query_from(step, &what)?)),
-                "ingest" => {
-                    let dataset = field(step, "dataset", &what)?
-                        .as_u64()
-                        .filter(|&v| v < 64)
-                        .ok_or_else(|| schema_err(format!("{what}: invalid dataset")))?;
-                    let mut arriving = Vec::new();
-                    for (j, obj) in field(step, "objects", &what)?
-                        .as_array()
-                        .ok_or_else(|| schema_err(format!("{what}: 'objects' must be an array")))?
-                        .iter()
-                        .enumerate()
-                    {
-                        arriving.push(object_from(obj, &format!("{what}.objects[{j}]"))?);
-                    }
-                    steps.push(TraceStep::Ingest {
-                        dataset: DatasetId(dataset as u16),
-                        objects: arriving,
-                    });
-                }
-                other => {
-                    return Err(schema_err(format!("{what}: unknown op '{other}'")));
-                }
-            }
-        }
-        let arrivals = if open_loop {
-            let raw = field(&doc, "arrivals", "document")?
-                .as_array()
-                .ok_or_else(|| schema_err("document: 'arrivals' must be an array"))?;
-            if raw.len() != steps.len() {
-                return Err(schema_err(format!(
-                    "document: {} arrivals for {} steps (must match)",
-                    raw.len(),
-                    steps.len()
-                )));
-            }
-            let mut arrivals = Vec::with_capacity(raw.len());
-            for (i, a) in raw.iter().enumerate() {
-                let what = format!("arrivals[{i}]");
-                let offset_micros = field(a, "offset_micros", &what)?
-                    .as_u64()
-                    .ok_or_else(|| schema_err(format!("{what}: invalid offset_micros")))?;
-                let tenant = field(a, "tenant", &what)?
-                    .as_u64()
-                    .filter(|&v| v <= u16::MAX as u64)
-                    .ok_or_else(|| schema_err(format!("{what}: invalid tenant")))?;
-                arrivals.push(Arrival {
-                    offset_micros,
-                    tenant: tenant as u16,
-                });
-            }
-            Some(arrivals)
-        } else {
-            None
-        };
-        Ok(SavedTrace {
-            bounds,
-            objects,
-            steps,
-            arrivals,
-        })
-    }
-
-    /// Writes the trace to a file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads a trace from a file.
-    pub fn load<P: AsRef<Path>>(path: P) -> std::io::Result<SavedTrace> {
-        let text = std::fs::read_to_string(path)?;
-        SavedTrace::from_json(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,100 +672,6 @@ mod tests {
         let w = sample();
         w.save(&path).unwrap();
         assert_eq!(SavedWorkload::load(&path).unwrap(), w);
-    }
-
-    #[test]
-    fn trace_roundtrip_is_bit_exact() {
-        use crate::trace::{IngestProfile, InterleavedTraceSpec};
-        let spec = InterleavedTraceSpec {
-            mixed: MixedWorkloadSpec {
-                base: WorkloadSpec {
-                    num_queries: 40,
-                    ..Default::default()
-                },
-                mix: QueryKindMix::balanced(),
-            },
-            ingest: IngestProfile {
-                ingest_ratio: 0.4,
-                batch_size: 8,
-                ..Default::default()
-            },
-        };
-        let trace = spec.generate(&bounds());
-        assert!(trace.ingest_steps() > 0, "trace must contain ingest steps");
-        let saved = SavedTrace::new(bounds(), sample().objects, &trace);
-        let json = saved.to_json();
-        let back = SavedTrace::from_json(&json).unwrap();
-        assert_eq!(saved, back);
-        assert_eq!(json, back.to_json());
-        // File roundtrip.
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("trace.json");
-        saved.save(&path).unwrap();
-        assert_eq!(SavedTrace::load(&path).unwrap(), saved);
-        // Schema errors: wrong format tag, unknown op.
-        assert!(SavedTrace::from_json(&sample().to_json()).is_err());
-        let bad = r#"{"format": "odyssey-trace-v1", "bounds": {"min": [0,0,0], "max": [1,1,1]}, "objects": [], "steps": [{"op": "warp"}]}"#;
-        assert!(SavedTrace::from_json(bad)
-            .unwrap_err()
-            .message
-            .contains("unknown op"));
-    }
-
-    #[test]
-    fn open_loop_trace_roundtrips_as_v2_and_v1_loads_with_no_arrivals() {
-        use crate::trace::{IngestProfile, InterleavedTraceSpec, OpenLoopProfile};
-        let spec = InterleavedTraceSpec {
-            mixed: MixedWorkloadSpec {
-                base: WorkloadSpec {
-                    num_queries: 30,
-                    ..Default::default()
-                },
-                mix: QueryKindMix::balanced(),
-            },
-            ingest: IngestProfile {
-                ingest_ratio: 0.3,
-                batch_size: 8,
-                ..Default::default()
-            },
-        };
-        let trace = spec.generate(&bounds());
-        let closed = SavedTrace::new(bounds(), sample().objects, &trace);
-        let arrivals = OpenLoopProfile::default().arrivals(trace.steps.len());
-        let open = closed.clone().with_arrivals(arrivals.clone());
-
-        // v2 round-trips bit-exactly with arrivals intact.
-        let json = open.to_json();
-        assert!(json.contains(TRACE_FORMAT_V2));
-        let back = SavedTrace::from_json(&json).unwrap();
-        assert_eq!(back, open);
-        assert_eq!(back.arrivals.as_deref(), Some(&arrivals[..]));
-        assert_eq!(json, back.to_json());
-
-        // A trace without arrivals still writes the bit-exact v1 document.
-        let v1_json = closed.to_json();
-        assert!(v1_json.contains("odyssey-trace-v1"));
-        assert!(!v1_json.contains("arrivals"));
-        let v1_back = SavedTrace::from_json(&v1_json).unwrap();
-        assert_eq!(v1_back.arrivals, None, "v1 loads with zero offsets");
-        assert_eq!(v1_back, closed);
-
-        // Schema errors: arrivals/steps length mismatch, bad tenant.
-        let mismatched = json.replacen("\"offset_micros\"", "\"offset_micros_\"", 1);
-        assert!(SavedTrace::from_json(&mismatched).is_err());
-        let truncated = open.clone();
-        let mut doc = JsonValue::parse(&truncated.to_json()).unwrap();
-        if let JsonValue::Object(fields) = &mut doc {
-            for (k, v) in fields.iter_mut() {
-                if k == "arrivals" {
-                    *v = JsonValue::Array(Vec::new());
-                }
-            }
-        }
-        assert!(SavedTrace::from_json(&doc.to_json())
-            .unwrap_err()
-            .message
-            .contains("must match"));
     }
 
     #[test]

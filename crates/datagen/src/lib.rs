@@ -42,7 +42,7 @@ pub mod workload;
 pub use brain::{BrainModel, DatasetSpec};
 pub use combos::CombinationPicker;
 pub use distributions::{CombinationDistribution, DiscreteSampler};
-pub use json::{JsonError, JsonValue, SavedTrace, SavedWorkload};
+pub use json::{JsonError, JsonValue, SavedWorkload};
 pub use mixed::{as_typed_queries, MixedWorkload, MixedWorkloadSpec, QueryKindMix};
 pub use queries::{QueryRangeDistribution, QueryRangeGenerator};
 pub use trace::{

@@ -10,8 +10,8 @@
 //! positions the following queries probe, modelling the
 //! observation-then-inspection loop of exploration portals.
 //!
-//! Traces are deterministic per seed and JSON-roundtrippable through
-//! [`crate::json::SavedTrace`], like PR 2's query workloads.
+//! Traces are deterministic per seed: the same spec regenerates the
+//! identical trace on any host.
 
 use crate::mixed::MixedWorkloadSpec;
 use odyssey_geom::{Aabb, DatasetId, DatasetSet, ObjectId, Query, QueryKind, SpatialObject, Vec3};
@@ -67,7 +67,7 @@ pub struct InterleavedTraceSpec {
 
 /// When one trace step arrives at a serving tier, and from whom.
 ///
-/// A `v1` trace is closed-loop: each step starts when the previous one
+/// A plain trace is closed-loop: each step starts when the previous one
 /// finishes. Attaching one `Arrival` per step turns it into an *open-loop*
 /// trace — steps arrive at absolute offsets regardless of how fast the
 /// server drains them, which is what makes queueing (and therefore tail

@@ -18,7 +18,7 @@ use space_odyssey::datagen::{
     BrainModel, DatasetSpec, MixedWorkloadSpec, QueryKindMix, WorkloadSpec,
 };
 use space_odyssey::geom::{
-    scan_any_query, Aabb, CountQuery, DatasetId, DatasetSet, KnnQuery, PointQuery, Query,
+    scan_any_query, Aabb, CountQuery, DatasetId, DatasetSet, KnnQuery, ObjectId, PointQuery, Query,
     QueryAnswer, QueryId, RangeQuery, SpatialObject, Vec3,
 };
 use space_odyssey::storage::{write_raw_dataset, RawDataset, StorageManager, StorageOptions};
@@ -173,6 +173,105 @@ fn adhoc_kind_edge_cases_match_brute_force() {
             assert!(outcome.objects.is_empty());
         }
     }
+}
+
+/// kNN across three datasets whose objects sit at identical lattice
+/// positions: every distance is shared by a tie group spanning the datasets
+/// (and repeated positions inside each), and `k` cuts inside such groups, so
+/// the answer hangs on the `(distance, dataset, id)` tie-break of the
+/// per-dataset top-k merge — live, and rebuilt from the result cache.
+#[test]
+fn knn_ties_across_datasets_cut_by_k_match_brute_force() {
+    let bounds = Aabb::from_min_max(Vec3::ZERO, Vec3::splat(100.0));
+    let mut rng = ChaCha8Rng::seed_from_u64(56);
+    let lattice = |rng: &mut ChaCha8Rng| 5.0 * rng.gen_range(1..20u32) as f64;
+    let positions: Vec<Vec3> = (0..1_500)
+        .map(|_| Vec3::new(lattice(&mut rng), lattice(&mut rng), lattice(&mut rng)))
+        .collect();
+    let objects = |d: u16| -> Vec<SpatialObject> {
+        positions
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                SpatialObject::new(
+                    ObjectId(i as u64),
+                    DatasetId(d),
+                    Aabb::from_center_extent(c, Vec3::splat(0.5)),
+                )
+            })
+            .collect()
+    };
+    let all = DatasetSet::from_ids((0..3u16).map(DatasetId));
+    // Lattice points (distance-0 groups) and midpoints between them
+    // (groups of equidistant neighbours).
+    let points: Vec<Vec3> = positions
+        .iter()
+        .take(12)
+        .flat_map(|&c| [c, c + Vec3::new(2.5, 0.0, 0.0), c + Vec3::splat(2.5)])
+        .collect();
+    let mut cut_ties = 0;
+    for config in [
+        OdysseyConfig::paper(bounds),
+        OdysseyConfig::paper(bounds).with_result_cache(8 << 20),
+    ] {
+        let storage = StorageManager::new(StorageOptions::in_memory(2048));
+        let mut all_objects = Vec::new();
+        let raws: Vec<RawDataset> = (0..3u16)
+            .map(|d| {
+                let objs = objects(d);
+                all_objects.extend(objs.iter().copied());
+                write_raw_dataset(&storage, DatasetId(d), &objs).unwrap()
+            })
+            .collect();
+        let engine = SpaceOdyssey::new(config, raws).unwrap();
+        // Refine around the probe points first.
+        let mut refined = 0;
+        for (i, &c) in points.iter().enumerate().cycle().take(3 * points.len()) {
+            let q = Query::Range(RangeQuery::new(
+                QueryId(i as u32),
+                Aabb::from_center_extent(c, Vec3::splat(1.0)),
+                all,
+            ));
+            refined += engine
+                .execute_query(&storage, &q)
+                .unwrap()
+                .partitions_refined;
+        }
+        assert!(refined > 0, "range queries refine the datasets");
+        for (i, &p) in points.iter().enumerate() {
+            // The oracle's ranking, one past the largest k: each answer is a
+            // prefix of it.
+            let ranked = scan_any_query(
+                &Query::KNearestNeighbors(KnnQuery::new(QueryId(0), p, 51, all)),
+                all_objects.iter(),
+            );
+            let ranked = ranked.objects().unwrap();
+            let distance = |j: usize| ranked[j].mbr.min_distance_squared_to(p);
+            for k in [1, 2, 4, 5, 7, 13, 50] {
+                if distance(k - 1) == distance(k) {
+                    cut_ties += 1;
+                }
+                let q =
+                    Query::KNearestNeighbors(KnnQuery::new(QueryId(1_000 + i as u32), p, k, all));
+                let expected: Vec<(DatasetId, u64)> =
+                    ranked[..k].iter().map(|o| (o.dataset, o.id.0)).collect();
+                // Twice: with the cache on, the second answer is rebuilt
+                // from the cached per-dataset lists.
+                for _ in 0..2 {
+                    let outcome = engine.execute_query(&storage, &q).unwrap();
+                    assert_eq!(
+                        normalize(&q, &outcome),
+                        (expected.clone(), k as u64),
+                        "kNN k={k} at {p:?} diverged"
+                    );
+                }
+            }
+        }
+        if engine.config().result_cache_enabled {
+            assert!(engine.cache_hits() > 0, "the cached merge ran");
+        }
+    }
+    assert!(cut_ties > 0, "k must cut inside a tie group");
 }
 
 #[test]
